@@ -65,8 +65,8 @@ def bench_fig13_la_scaling(benchmark):
 
 
 def bench_fig13_measured_ranked_la(benchmark, workload):
-    """The strong-scaling *mechanism*, measured: local assembly sharded
-    round-robin over real worker processes.  Results stay bit-identical at
+    """The strong-scaling *mechanism*, measured: local assembly dealt
+    over real worker processes, largest tasks first (LPT).  Results stay bit-identical at
     every rank count while the critical-path CPU falls; the calibrated
     model above remains the overlay for Summit-scale node counts."""
     from conftest import record as _record

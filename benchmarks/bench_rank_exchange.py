@@ -15,10 +15,11 @@ Two benches, one measured and one modelled:
   ``cpu_cores`` alongside so readers can tell which regime produced the
   numbers; the wall-clock gate only arms when the cores exist.
 
-* ``bench_rank_exchange`` keeps the in-process model twin
-  (:class:`RankSimulator`) as the analytic overlay: exchanged volume
-  rises as ``(R-1)/R`` with rank count R, which is why the exchange
-  stops strong-scaling early (§4.4).
+* ``bench_rank_exchange`` sweeps the same launcher to 16 ranks for the
+  exchange-volume curve, with the alpha-beta model's alltoall time
+  (the returned ``ExchangeStats``) as the analytic overlay: exchanged
+  volume rises as ``(R-1)/R`` with rank count R, which is why the
+  exchange stops strong-scaling early (§4.4).
 """
 
 import json
@@ -29,7 +30,7 @@ from conftest import RESULTS_DIR, record
 
 from repro.analysis.reporting import format_table
 from repro.distributed.procrank import distributed_count_proc, procrank_available
-from repro.distributed.rank import RankSimulator, partition_reads
+from repro.distributed.rank import partition_reads
 from repro.pipeline.kmer_counts import count_kmers
 
 RANKS = (1, 2, 4, 8, 16)
@@ -141,7 +142,7 @@ def bench_rank_strong_scaling(benchmark, workload):
 
 
 def bench_rank_exchange(benchmark, workload):
-    """Model overlay: exchanged volume vs rank count (in-process twin)."""
+    """Exchanged volume vs rank count, with the modelled alltoall time."""
     reads = workload["reads"]
 
     def sweep():
@@ -150,7 +151,7 @@ def bench_rank_exchange(benchmark, workload):
             local_records = sum(
                 len(count_kmers(p, 21)) for p in partition_reads(reads, r)
             )
-            merged, stats = RankSimulator(r).distributed_count(reads, 21)
+            merged, stats, _ = distributed_count_proc(reads, 21, r)
             out.append((r, local_records, stats, len(merged)))
         return out
 

@@ -2,9 +2,9 @@
 
 A domain-specific workflow mirroring the paper's large-scale dataset at
 laptop scale: a heavily skewed 20-genome community, full assembly with GPU
-local assembly, per-genome recovery vs abundance, and a functional
-multi-rank simulation of the distributed k-mer analysis (validating the
-merge invariant and reporting exchange volumes).
+local assembly, per-genome recovery vs abundance, and the distributed
+k-mer analysis over real process ranks (validating the merge invariant
+and reporting exchange volumes).
 
 Run:  python examples/marine_metagenome.py [seed]
 """
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from repro.analysis import assembly_stats, genome_fraction
-from repro.distributed import RankSimulator
+from repro.distributed import distributed_count_proc
 from repro.pipeline import PipelineConfig, count_kmers, run_pipeline
 from repro.sequence import sample_paired_reads, wa_like
 
@@ -63,9 +63,9 @@ def main(seed: int = 3) -> None:
     print(f"  {ref_report.n_contigs} contigs, "
           f"{ref_report.n_chimeric} chimeric, {ref_report.n_unmapped} unmapped")
 
-    print("\nDistributed k-mer analysis over 8 simulated ranks...")
+    print("\nDistributed k-mer analysis over 8 process ranks...")
     single = count_kmers(reads, 21, min_count=2)
-    merged, stats = RankSimulator(8).distributed_count(reads, 21, min_count=2)
+    merged, stats, _ = distributed_count_proc(reads, 21, 8, min_count=2)
     same = (
         np.array_equal(single.words, merged.words)
         and np.array_equal(single.counts, merged.counts)

@@ -146,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "bit-identical output at every rank count)")
     asm.add_argument("--aln-ranks", type=_positive_int, default=1,
                      help="process ranks for the alignment stage (>1 shards "
-                          "reads over forked ranks sharing the seed index "
-                          "through broadcast shared-memory segments; "
-                          "bit-identical output at every rank count)")
+                          "reads over forked ranks that share the seed index "
+                          "they inherit; bit-identical output at every rank "
+                          "count)")
 
     st = sub.add_parser("stats", help="assembly statistics for FASTA files")
     st.add_argument("fastas", type=Path, nargs="+")

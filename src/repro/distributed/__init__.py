@@ -10,7 +10,6 @@ from repro.distributed.procrank import (
 )
 from repro.distributed.rank import (
     ExchangeStats,
-    RankSimulator,
     merge_spectra,
     partition_reads,
 )
@@ -33,7 +32,6 @@ from repro.distributed.summit import (
 __all__ = [
     "CommCostModel",
     "ExchangeStats",
-    "RankSimulator",
     "RankMetrics",
     "RankRunReport",
     "distributed_count_proc",

@@ -1,61 +1,35 @@
-"""Real process-level ranks with a shared-memory k-mer exchange.
+"""The process-rank stages: k-mer counting, alignment, local assembly.
 
-This is the measured counterpart of :class:`repro.distributed.rank.
-RankSimulator`: instead of looping over simulated ranks inside one
-interpreter, :func:`distributed_count_proc` forks N worker processes
-(one per rank), each of which counts k-mers over its partition of the
-read set and then participates in an alltoallv-style shuffle over named
-``multiprocessing.shared_memory`` segments — the laptop-scale analogue
-of the one-sided UPC++ exchange MHM2 runs on Summit.
+Each stage is a short rank function on the SPMD runtime of
+:mod:`repro.distributed.spmd` — which owns forking, the shared-memory
+alltoallv, result return, the join and cleanup — plus the parent-side
+merge of the ranks' results:
 
-Exchange protocol (token ``T``, ranks ``0..R-1``):
+* :func:`distributed_count_proc` — each rank counts k-mers over its read
+  partition and sends every record to its owner rank (hash of word 0);
+  owners merge what they receive, the parent merges the disjoint shards.
+* :func:`ranked_align` — each rank aligns its read shard against the
+  fork-inherited seed index and sends winner rows to the contig's owner
+  rank (``cid % R``), which applies the per-end recruitment caps.
+* :func:`ranked_extend_tasks` — each rank runs local assembly over its
+  LPT-dealt task shard; extension keys are unique per task.
 
-1. The parent draws a launch token (:func:`repro.gpusim.shmem.
-   launch_token`), allocates small shared control arrays (an ``(R, R)``
-   counts matrix, per-rank result row counts, per-rank metrics and
-   status words) and registers every derivable segment name for cleanup
-   before any child exists — an abnormal exit can then never leak
-   segments (the atexit sweep unlinks them).
-2. Rank ``r`` counts its local spectrum, groups the records by owner
-   rank (stable sort on the shared owner hash) and publishes them as
-   one exactly-sized *outbox* segment ``repro-T-out<r>`` whose
-   per-destination row counts go into row ``r`` of the counts matrix.
-   This is the "put": peers never receive a message, they *get* their
-   slice later.
-3. A barrier is the fence ending the put epoch.  After it, rank ``r``
-   attaches every peer's outbox by constructed name, reads the counts
-   matrix for offsets, and copies out the rows destined to it — the
-   "get" side of the one-sided exchange.  No bytes move through pipes
-   or pickles; the only transport is the shared pages themselves.
-4. Each rank merges its received shards into its owned slice of the
-   global spectrum (disjoint across ranks by the owner hash) and
-   publishes it as ``repro-T-own<r>``; the parent joins the children,
-   attaches the owned shards, merges, applies the ``min_count`` filter,
-   and unlinks every segment of the launch.
+All three are bit-identical to their single-process counterparts at
+every rank count — the invariant the tests enforce — so the pipeline can
+swap them in via ``PipelineConfig.kmer_ranks`` / ``aln_ranks`` without
+changing any contig.
 
-The merged spectrum is bit-identical to the sequential
-:func:`~repro.pipeline.kmer_counts.count_kmers` result at every rank
-count — the invariant the tests enforce — so the pipeline can swap this
-in via ``PipelineConfig.kmer_ranks`` without changing any contig.
-
-Timing: each rank records wall clock *and* CPU seconds
-(``time.process_time``) per phase.  On hosts with fewer cores than
-ranks the wall clock of concurrent processes measures time-slicing,
-not work, so the strong-scaling benches report the max per-rank CPU
-seconds as the critical-path metric next to the honest wall clock.
+Timing: each rank records wall clock *and* CPU seconds per phase.  On
+hosts with fewer cores than ranks the wall clock of concurrent processes
+measures time-slicing, not work, so the strong-scaling benches report
+the max per-rank CPU seconds as the critical-path metric next to the
+honest wall clock.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing as mp
-import shutil
-import sys
-import tempfile
 import time
-import traceback
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,24 +45,8 @@ from repro.distributed.rank import (
     record_width,
     spectrum_from_records,
 )
-from repro.gpusim.shmem import (
-    attach_shared_array,
-    cleanup_launch_segments,
-    create_named_shared_array,
-    create_shared_array,
-    launch_token,
-    register_launch_segment,
-    shared_memory_available,
-)
-from repro.perf import HostProfiler
+from repro.distributed.spmd import Comm, procrank_available, spmd
 from repro.pipeline.kmer_counts import KmerSpectrum, count_kmers
-from repro.sanitize.rankcheck import (
-    RANK_SANITIZE_MODES,
-    RankTracer,
-    SegmentLedger,
-    build_rank_report,
-    check_happens_before,
-)
 from repro.sequence.kmer import words_per_kmer
 from repro.sequence.read import ReadBatch
 
@@ -100,7 +58,7 @@ __all__ = [
     "RankMetrics",
     "RankRunReport",
     "ranked_extend_tasks",
-    "RankedAssemblyReport",
+    "LaRankMetrics",
     "RANK_PHASES",
     "ranked_align",
     "AlnRankMetrics",
@@ -115,43 +73,6 @@ RANK_PHASES = ("count", "pack", "exchange", "merge")
 
 #: per-rank phases of the ranked alignment, in execution order.
 ALN_RANK_PHASES = ("align", "pack", "exchange", "flags")
-
-# metrics columns in the shared (R, _N_METRICS) float64 array
-_M_WALL, _M_CPU, _M_COUNT, _M_PACK, _M_EXCH, _M_MERGE, _M_SENT, _M_RECV = range(8)
-_N_METRICS = 8
-
-_STATUS_OK = 1
-_STATUS_FAILED = -1
-
-# Test-only fault injection (fork-inherited module globals, so tests can
-# flip them in the parent and the rank children see the values):
-# _INJECT_RACE makes the last rank re-write rank 0's outbox *after* the
-# barrier — value-neutral (same bytes), so results stay bit-identical,
-# but it is exactly the unsynchronized cross-rank write rankcheck must
-# flag.  _CRASH_RANK crashes that rank between publishing its outbox and
-# reaching the barrier — the abort route whose cleanup the crash tests
-# prove leaves /dev/shm empty.
-_INJECT_RACE = False
-_CRASH_RANK: int | None = None
-
-
-def _out_name(token: str, rank: int) -> str:
-    return f"repro-{token}-out{rank}"
-
-
-def _own_name(token: str, rank: int) -> str:
-    return f"repro-{token}-own{rank}"
-
-
-def procrank_available() -> bool:
-    """True when real process ranks can run here (fork + shared memory)."""
-    if sys.platform == "win32":  # pragma: no cover - POSIX-only repo
-        return False
-    try:
-        mp.get_context("fork")
-    except ValueError:  # pragma: no cover - no fork start method
-        return False
-    return shared_memory_available()
 
 
 # -- pure exchange building blocks (transport-free, unit-testable) -----------
@@ -211,11 +132,45 @@ def exchange_rows(
     ]
 
 
+def _exchange_stats(
+    counts: np.ndarray, row_bytes: int, comm: CommCostModel | None
+) -> ExchangeStats:
+    """Exchange volume measured from the alltoallv counts matrix, with
+    the modelled alltoall time as an overlay.
+
+    ``total_kmers_sent`` counts rows of whatever the stage exchanges —
+    k-mer records or, for alignment, 64-byte alignment rows.
+    """
+    n_ranks = counts.shape[0]
+    offdiag = counts.copy()
+    np.fill_diagonal(offdiag, 0)
+    bytes_per_rank = offdiag.sum(axis=1) * row_bytes
+    bytes_max = int(bytes_per_rank.max()) if n_ranks > 1 else 0
+    return ExchangeStats(
+        n_ranks=n_ranks,
+        total_kmers_sent=int(offdiag.sum()),
+        bytes_per_rank_max=bytes_max,
+        modelled_time_s=(comm or CommCostModel()).alltoall_time(
+            bytes_max, n_ranks
+        ),
+    )
+
+
 # -- reports -----------------------------------------------------------------
+#
+# Each metrics class's fields after ``rank`` follow the column order of
+# the stage's launch (wall, cpu, one time per phase, then counters), so a
+# record is built positionally from :meth:`SpmdRun.rank_rows`.
 
 
 @dataclass
-class RankMetrics:
+class _Metrics:
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass
+class RankMetrics(_Metrics):
     """Measured per-rank accounting of one distributed count."""
 
     rank: int
@@ -228,28 +183,41 @@ class RankMetrics:
     sent_records: int
     recv_records: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
-            "count_s": self.count_s,
-            "pack_s": self.pack_s,
-            "exchange_s": self.exchange_s,
-            "merge_s": self.merge_s,
-            "sent_records": self.sent_records,
-            "recv_records": self.recv_records,
-        }
+
+@dataclass
+class AlnRankMetrics(_Metrics):
+    """Measured per-rank accounting of one ranked alignment."""
+
+    rank: int
+    wall_s: float
+    cpu_s: float
+    align_s: float
+    pack_s: float
+    exchange_s: float
+    flags_s: float
+    sent_rows: int
+    recv_rows: int
+
+
+@dataclass
+class LaRankMetrics(_Metrics):
+    """Measured per-rank accounting of one ranked local assembly."""
+
+    rank: int
+    wall_s: float
+    cpu_s: float
+    n_tasks: int
+    n_extended: int
 
 
 @dataclass
 class RankRunReport:
-    """One measured multi-rank k-mer analysis run."""
+    """One measured multi-rank run of a rank stage."""
 
     n_ranks: int
     mode: str  # "procrank" (forked processes) or "inproc" (fallback)
     wall_s: float  # parent-side end-to-end wall clock
-    per_rank: list[RankMetrics] = field(default_factory=list)
+    per_rank: list = field(default_factory=list)  # one *RankMetrics per rank
     profiles: list[dict] | None = None  # per-rank HostProfiler JSON
     sanitizer: dict | None = None  # SanitizerReport JSON (sanitize=rankcheck)
 
@@ -277,157 +245,7 @@ class RankRunReport:
         return d
 
 
-# -- the forked rank worker --------------------------------------------------
-
-
-def _rank_main(
-    rank: int,
-    batch: ReadBatch,
-    k: int,
-    n_ranks: int,
-    min_qual: int,
-    token: str,
-    counts: np.ndarray,
-    own_counts: np.ndarray,
-    metrics: np.ndarray,
-    status: np.ndarray,
-    barrier,
-    timeout_s: float,
-    profile_dir: str | None,
-    trace_dir: str | None = None,
-) -> None:
-    """Body of one rank process (fork-started: args are inherited, not
-    pickled; the shared arrays are the parent's pages)."""
-    try:
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        prof = HostProfiler(enabled=profile_dir is not None)
-        tracer = RankTracer(rank) if trace_dir is not None else None
-        nw = words_per_kmer(k)
-        width = record_width(nw)
-        label = f"rank{rank}"
-
-        t0 = time.perf_counter()
-        part = partition_part(batch, n_ranks, rank)
-        local = count_kmers(part, k, min_count=1, min_qual=min_qual)
-        t_count = time.perf_counter() - t0
-        prof.add("count", label, t0, t_count)
-
-        t0 = time.perf_counter()
-        rows, dest_counts = pack_for_exchange(local, n_ranks)
-        outbox = create_named_shared_array(
-            _out_name(token, rank), (len(rows), width), np.uint64
-        )
-        if rows.size:
-            outbox[...] = rows
-        counts[rank, :] = dest_counts
-        if tracer is not None:
-            tracer.write(f"out{rank}", 0, int(rows.size) * 8)
-            tracer.write("counts", rank * n_ranks * 8, (rank + 1) * n_ranks * 8)
-        t_pack = time.perf_counter() - t0
-        prof.add("pack", label, t0, t_pack)
-
-        if _CRASH_RANK is not None and rank == _CRASH_RANK:
-            raise RuntimeError("injected crash between publish and barrier")
-
-        # Fence: every outbox and counts row is published past this point.
-        barrier.wait(timeout=timeout_s)
-        if tracer is not None:
-            tracer.barrier()
-
-        t0 = time.perf_counter()
-        offs = np.zeros(n_ranks + 1, dtype=np.int64)
-        shards: list[np.ndarray] = []
-        attached: list[np.ndarray] = []
-        recv = 0
-        try:
-            for src in range(n_ranks):
-                np.cumsum(counts[src], out=offs[1:])
-                if tracer is not None:
-                    tracer.read(
-                        "counts", src * n_ranks * 8, (src + 1) * n_ranks * 8
-                    )
-                if src == rank:
-                    box = rows  # own outbox: already local
-                else:
-                    box = attach_shared_array(
-                        _out_name(token, src), (int(offs[-1]), width), np.uint64
-                    )
-                    attached.append(box)
-                mine = np.array(
-                    box[offs[rank] : offs[rank + 1]], dtype=np.uint64
-                )
-                if tracer is not None:
-                    tracer.read(
-                        f"out{src}",
-                        int(offs[rank]) * width * 8,
-                        int(offs[rank + 1]) * width * 8,
-                    )
-                if _INJECT_RACE and rank == n_ranks - 1 and rank != 0 and src == 0:
-                    # value-neutral: writes the bytes already there, so
-                    # results stay bit-identical — but it is a post-fence
-                    # write into a peer's put epoch, the exact hazard
-                    # sanitize=rankcheck exists to flag.
-                    snap = np.array(box)
-                    box[...] = snap
-                    if tracer is not None:
-                        tracer.write("out0", 0, int(snap.size) * 8)
-                shards.append(mine)
-                if src != rank:
-                    recv += len(mine)
-        finally:
-            for box in attached:
-                box.close()
-        t_exch = time.perf_counter() - t0
-        prof.add("exchange", label, t0, t_exch)
-
-        t0 = time.perf_counter()
-        owned = merge_spectra(
-            [spectrum_from_records(s, k) for s in shards if len(s)], k
-        )
-        own_rows = pack_records(owned)
-        ownbox = create_named_shared_array(
-            _own_name(token, rank), (len(own_rows), width), np.uint64
-        )
-        if own_rows.size:
-            ownbox[...] = own_rows
-        own_counts[rank] = len(owned)
-        if tracer is not None:
-            tracer.write(f"own{rank}", 0, int(own_rows.size) * 8)
-            tracer.write("own_counts", rank * 8, (rank + 1) * 8)
-        t_merge = time.perf_counter() - t0
-        prof.add("merge", label, t0, t_merge)
-
-        metrics[rank, _M_WALL] = time.perf_counter() - wall0
-        metrics[rank, _M_CPU] = time.process_time() - cpu0
-        metrics[rank, _M_COUNT] = t_count
-        metrics[rank, _M_PACK] = t_pack
-        metrics[rank, _M_EXCH] = t_exch
-        metrics[rank, _M_MERGE] = t_merge
-        metrics[rank, _M_SENT] = float(
-            int(dest_counts.sum()) - int(dest_counts[rank])
-        )
-        metrics[rank, _M_RECV] = float(recv)
-        if tracer is not None:
-            tracer.write(
-                "metrics", rank * _N_METRICS * 8, (rank + 1) * _N_METRICS * 8
-            )
-            tracer.write("status", rank * 8, (rank + 1) * 8)
-            tracer.dump(Path(trace_dir) / f"rank{rank}.json")
-        if profile_dir is not None:
-            prof.save_json(Path(profile_dir) / f"rank{rank}.json")
-        status[rank] = _STATUS_OK
-    except Exception:
-        traceback.print_exc()
-        status[rank] = _STATUS_FAILED
-        try:
-            barrier.abort()  # wake peers instead of deadlocking them
-        except Exception:
-            pass
-        sys.exit(1)
-
-
-# -- the launcher ------------------------------------------------------------
+# -- k-mer counting ----------------------------------------------------------
 
 
 def distributed_count_proc(
@@ -441,7 +259,7 @@ def distributed_count_proc(
     comm: CommCostModel | None = None,
     sanitize: str = "off",
 ) -> tuple[KmerSpectrum, ExchangeStats, RankRunReport]:
-    """Count k-mers across *n_ranks* real processes; merge the shards.
+    """Count k-mers across *n_ranks* ranks; merge the shards.
 
     Returns the merged global spectrum (bit-identical to the sequential
     :func:`count_kmers` at every rank count), exchange statistics
@@ -454,309 +272,75 @@ def distributed_count_proc(
     ``report.sanitizer`` (tracing is observation only: results stay
     bit-identical).
 
-    Falls back to an in-process run of the identical exchange logic when
-    fork/shared-memory is unavailable (``report.mode == "inproc"``).
+    Ranks are forked processes wherever :func:`procrank_available`, else
+    threads over in-memory mailboxes (``report.mode == "inproc"``).
     """
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    if sanitize not in RANK_SANITIZE_MODES:
-        raise ValueError(
-            f"unknown sanitize mode {sanitize!r}; expected one of "
-            f"{RANK_SANITIZE_MODES}"
-        )
-    comm = comm or CommCostModel()
-    if not procrank_available():
-        return _distributed_count_inproc(
-            batch, k, n_ranks, min_count, min_qual, profile, comm, sanitize
-        )
-
-    ctx = mp.get_context("fork")
-    token = launch_token()
-    nw = words_per_kmer(k)
-    ledger = SegmentLedger() if sanitize == "rankcheck" else None
-    shm_before = ledger.snapshot() if ledger is not None else frozenset()
-    races: list = []
-    n_checked = 0
-    # Register every derivable name *before* forking: if anything below
-    # raises, the atexit sweep still unlinks whatever got created.
-    for r in range(n_ranks):
-        register_launch_segment(token, _out_name(token, r))
-        register_launch_segment(token, _own_name(token, r))
-
-    counts = own_counts = metrics = status = None
-    profile_dir = trace_dir = None
     wall0 = time.perf_counter()
-    procs = []
-    result = None
-    try:
-        counts = create_shared_array((n_ranks, n_ranks), np.int64)
-        own_counts = create_shared_array((n_ranks,), np.int64)
-        metrics = create_shared_array((n_ranks, _N_METRICS), np.float64)
-        status = create_shared_array((n_ranks,), np.int64)
-        barrier = ctx.Barrier(n_ranks)
-        if profile:
-            profile_dir = tempfile.mkdtemp(prefix="repro-rankprof-")
-        if ledger is not None:
-            trace_dir = tempfile.mkdtemp(prefix="repro-ranktrace-")
 
-        for r in range(n_ranks):
-            p = ctx.Process(
-                target=_rank_main,
-                args=(
-                    r, batch, k, n_ranks, min_qual, token,
-                    counts, own_counts, metrics, status, barrier,
-                    timeout_s, profile_dir, trace_dir,
-                ),
-                name=f"repro-rank{r}",
-            )
-            p.start()
-            procs.append(p)
-        deadline = time.monotonic() + timeout_s * 2
-        for p in procs:
-            p.join(timeout=max(0.1, deadline - time.monotonic()))
-        alive = [p.name for p in procs if p.is_alive()]
-        if alive:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(timeout=5.0)
-            raise TimeoutError(f"rank processes hung past timeout: {alive}")
-        bad = [
-            (p.name, p.exitcode, int(status[i]))
-            for i, p in enumerate(procs)
-            if p.exitcode != 0 or int(status[i]) != _STATUS_OK
-        ]
-        if bad:
-            raise RuntimeError(f"rank processes failed: {bad}")
+    def count_rank(c: Comm) -> np.ndarray:
+        with c.phase("count"):
+            part = partition_part(batch, n_ranks, c.rank)
+            local = count_kmers(part, k, min_count=1, min_qual=min_qual)
+        with c.phase("pack"):
+            rows, dest_counts = pack_for_exchange(local, n_ranks)
+        with c.phase("exchange"):
+            inbox = c.alltoallv(rows, dest_counts)
+        with c.phase("merge"):
+            return pack_records(merge_spectra([spectrum_from_records(inbox, k)], k))
 
-        width = record_width(nw)
-        owned = []
-        shards = []
-        try:
-            for r in range(n_ranks):
-                n = int(own_counts[r])
-                shard = attach_shared_array(
-                    _own_name(token, r), (n, width), np.uint64
-                )
-                shards.append(shard)
-                owned.append(spectrum_from_records(np.array(shard), k))
-        finally:
-            for shard in shards:
-                shard.close()
-        merged = merge_spectra(owned, k)
-        if min_count > 1:
-            merged = merged.filtered(min_count)
-
-        if trace_dir is not None:
-            events = [
-                RankTracer.load(Path(trace_dir) / f"rank{r}.json")
-                for r in range(n_ranks)
-            ]
-            races, n_checked = check_happens_before(events)
-
-        wall = time.perf_counter() - wall0
-        stats = _stats_from_counts(np.array(counts), nw, comm)
-        per_rank = [
-            RankMetrics(
-                rank=r,
-                wall_s=float(metrics[r, _M_WALL]),
-                cpu_s=float(metrics[r, _M_CPU]),
-                count_s=float(metrics[r, _M_COUNT]),
-                pack_s=float(metrics[r, _M_PACK]),
-                exchange_s=float(metrics[r, _M_EXCH]),
-                merge_s=float(metrics[r, _M_MERGE]),
-                sent_records=int(metrics[r, _M_SENT]),
-                recv_records=int(metrics[r, _M_RECV]),
-            )
-            for r in range(n_ranks)
-        ]
-        report = RankRunReport(
-            n_ranks=n_ranks, mode="procrank", wall_s=wall, per_rank=per_rank
-        )
-        if profile_dir is not None:
-            report.profiles = _load_rank_profiles(profile_dir, n_ranks)
-        result = (merged, stats, report)
-    finally:
-        cleanup_launch_segments(token)
-        for arr in (counts, own_counts, metrics, status):
-            if arr is not None:
-                arr.unlink()
-        for d in (profile_dir, trace_dir):
-            if d is not None:
-                shutil.rmtree(d, ignore_errors=True)
-    if ledger is not None:
-        # Leak diff runs *after* the cleanup above: anything still live
-        # now genuinely escaped the launch's own lifecycle.
-        leaked = ledger.leaked(shm_before, ledger.snapshot())
-        result[2].sanitizer = build_rank_report(
-            races, leaked, n_checked
-        ).to_dict()
-    return result
-
-
-def _stats_from_counts(
-    counts: np.ndarray, nw: int, comm: CommCostModel
-) -> ExchangeStats:
-    """Exchange volume measured from the shared counts matrix."""
-    n_ranks = counts.shape[0]
-    offdiag = counts.copy()
-    np.fill_diagonal(offdiag, 0)
-    bytes_per_rank = offdiag.sum(axis=1) * RECORD_BYTES(nw)
-    bytes_max = int(bytes_per_rank.max()) if n_ranks > 1 else 0
-    return ExchangeStats(
-        n_ranks=n_ranks,
-        total_kmers_sent=int(offdiag.sum()),
-        bytes_per_rank_max=bytes_max,
-        modelled_time_s=comm.alltoall_time(bytes_max, n_ranks),
+    run = spmd(
+        n_ranks, count_rank, fork=procrank_available(), phases=RANK_PHASES,
+        counters=("sent", "recv"), profile=profile, sanitize=sanitize,
+        timeout_s=timeout_s,
     )
-
-
-def _load_rank_profiles(profile_dir: str, n_ranks: int) -> list[dict]:
-    profiles = []
-    for r in range(n_ranks):
-        path = Path(profile_dir) / f"rank{r}.json"
-        try:
-            profiles.append(json.loads(path.read_text()))
-        except (OSError, ValueError):  # pragma: no cover - crashed rank
-            profiles.append({"summary": {}, "records": []})
-    return profiles
-
-
-def _distributed_count_inproc(
-    batch: ReadBatch,
-    k: int,
-    n_ranks: int,
-    min_count: int,
-    min_qual: int,
-    profile: bool,
-    comm: CommCostModel,
-    sanitize: str = "off",
-) -> tuple[KmerSpectrum, ExchangeStats, RankRunReport]:
-    """The identical exchange logic run sequentially in one process —
-    the fallback when fork/shared memory is unavailable, and the
-    reference implementation the property tests exercise directly."""
-    wall0 = time.perf_counter()
     nw = words_per_kmer(k)
-    counts = np.zeros((n_ranks, n_ranks), dtype=np.int64)
-    rows_by_src: list[np.ndarray] = []
-    per_rank: list[RankMetrics] = []
-    profs = [HostProfiler(enabled=profile) for _ in range(n_ranks)]
-    timings: list[dict] = []
-    for r in range(n_ranks):
-        c0, t0 = time.process_time(), time.perf_counter()
-        part = partition_part(batch, n_ranks, r)
-        local = count_kmers(part, k, min_count=1, min_qual=min_qual)
-        t_count = time.perf_counter() - t0
-        profs[r].add("count", f"rank{r}", t0, t_count)
-        t0 = time.perf_counter()
-        rows, dest_counts = pack_for_exchange(local, n_ranks)
-        counts[r, :] = dest_counts
-        rows_by_src.append(rows)
-        t_pack = time.perf_counter() - t0
-        profs[r].add("pack", f"rank{r}", t0, t_pack)
-        timings.append(
-            {"count": t_count, "pack": t_pack, "cpu": time.process_time() - c0,
-             "sent": int(dest_counts.sum()) - int(dest_counts[r])}
-        )
-
-    t0 = time.perf_counter()
-    inboxes = exchange_rows(rows_by_src, counts)
-    t_exch_all = time.perf_counter() - t0
-
-    owned = []
-    for r in range(n_ranks):
-        c0, t0 = time.process_time(), time.perf_counter()
-        profs[r].add("exchange", f"rank{r}", t0, t_exch_all / n_ranks)
-        owned.append(merge_spectra([spectrum_from_records(inboxes[r], k)], k))
-        t_merge = time.perf_counter() - t0
-        profs[r].add("merge", f"rank{r}", t0, t_merge)
-        recv = int(counts[:, r].sum()) - int(counts[r, r])
-        per_rank.append(
-            RankMetrics(
-                rank=r,
-                wall_s=timings[r]["count"] + timings[r]["pack"]
-                + t_exch_all / n_ranks + t_merge,
-                cpu_s=timings[r]["cpu"] + (time.process_time() - c0),
-                count_s=timings[r]["count"],
-                pack_s=timings[r]["pack"],
-                exchange_s=t_exch_all / n_ranks,
-                merge_s=t_merge,
-                sent_records=timings[r]["sent"],
-                recv_records=recv,
-            )
-        )
-
-    merged = merge_spectra(owned, k)
+    merged = merge_spectra(
+        [spectrum_from_records(res.reshape(-1, record_width(nw)), k)
+         for res in run.results],
+        k,
+    )
     if min_count > 1:
         merged = merged.filtered(min_count)
-    stats = _stats_from_counts(counts, nw, comm)
     report = RankRunReport(
         n_ranks=n_ranks,
-        mode="inproc",
+        mode=run.mode,
         wall_s=time.perf_counter() - wall0,
-        per_rank=per_rank,
-        profiles=[p.to_json() for p in profs] if profile else None,
+        per_rank=[RankMetrics(r, *row) for r, row in enumerate(run.rank_rows())],
+        profiles=run.profiles,
+        sanitizer=run.sanitizer,
     )
-    if sanitize == "rankcheck":
-        # One process, no shared segments: trivially race- and
-        # leak-free, but callers still get the report they asked for.
-        report.sanitizer = build_rank_report([], [], 0).to_dict()
-    return merged, stats, report
+    return merged, _exchange_stats(run.counts, RECORD_BYTES(nw), comm), report
 
 
-# -- ranked local assembly (the fig13 measured path) -------------------------
+# -- local assembly (the fig13 measured path) --------------------------------
 
 
-@dataclass
-class RankedAssemblyReport:
-    """Measured multi-rank local assembly (contig-stage strong scaling)."""
-
-    n_ranks: int
-    mode: str
-    wall_s: float
-    per_rank: list[dict] = field(default_factory=list)
-
-    @property
-    def cpu_critical_s(self) -> float:
-        return max((m["cpu_s"] for m in self.per_rank), default=0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ranks": self.n_ranks,
-            "mode": self.mode,
-            "wall_s": self.wall_s,
-            "cpu_critical_s": self.cpu_critical_s,
-            "per_rank": self.per_rank,
-        }
+def _pack_extensions(extensions: dict[tuple[int, int], str]) -> np.ndarray:
+    """Flatten ``{(cid, side): ext}`` into one uint8 array: the entry
+    count, one ``(cid, side, len)`` int64 row per entry, then the bases."""
+    keys = np.array(
+        [(cid, side, len(ext)) for (cid, side), ext in extensions.items()],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    bases = "".join(extensions.values()).encode("ascii")
+    return np.concatenate([
+        np.array([len(keys)], dtype=np.int64).view(np.uint8),
+        keys.view(np.uint8).ravel(),
+        np.frombuffer(bases, dtype=np.uint8),
+    ])
 
 
-def _la_rank_main(rank, part, queue, extend_kwargs) -> None:
-    """One local-assembly rank: run the GPU driver over a task shard and
-    ship the extensions (small strings) back over a queue."""
-    try:
-        from repro.core.local_assembler import extend_tasks
-
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        extensions, report = extend_tasks(part, **extend_kwargs)
-        queue.put(
-            (
-                rank,
-                extensions,
-                {
-                    "rank": rank,
-                    "n_tasks": len(part),
-                    "n_extended": report.n_extended,
-                    "wall_s": time.perf_counter() - wall0,
-                    "cpu_s": time.process_time() - cpu0,
-                },
-            )
-        )
-    except Exception as exc:  # pragma: no cover - surfaced by parent
-        traceback.print_exc()
-        queue.put((rank, None, {"rank": rank, "error": repr(exc)}))
-        sys.exit(1)
+def _unpack_extensions(buf: np.ndarray) -> dict[tuple[int, int], str]:
+    """Inverse of :func:`_pack_extensions`."""
+    n = int(buf[:8].view(np.int64)[0])
+    keys = buf[8 : 8 + 24 * n].view(np.int64).reshape(n, 3)
+    bases = buf[8 + 24 * n :].tobytes().decode("ascii")
+    out: dict[tuple[int, int], str] = {}
+    at = 0
+    for cid, side, length in keys.tolist():
+        out[(cid, side)] = bases[at : at + length]
+        at += length
+    return out
 
 
 def ranked_extend_tasks(
@@ -764,8 +348,8 @@ def ranked_extend_tasks(
     n_ranks: int,
     timeout_s: float = 300.0,
     **extend_kwargs,
-) -> tuple[dict[tuple[int, int], str], RankedAssemblyReport]:
-    """Run local assembly across *n_ranks* forked processes.
+) -> tuple[dict[tuple[int, int], str], RankRunReport]:
+    """Run local assembly across *n_ranks* ranks.
 
     Tasks are dealt greedily by descending read count (LPT scheduling:
     next-heaviest task to the currently lightest rank) — the task-cost
@@ -780,89 +364,48 @@ def ranked_extend_tasks(
 
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
-    task_list = list(tasks)
     wall0 = time.perf_counter()
-    if n_ranks == 1 or not procrank_available():
-        cpu0 = time.process_time()
-        extensions, report = extend_tasks(TaskSet(task_list), **extend_kwargs)
-        rep = RankedAssemblyReport(
-            n_ranks=n_ranks,
-            mode="inproc",
-            wall_s=time.perf_counter() - wall0,
-            per_rank=[
-                {
-                    "rank": 0,
-                    "n_tasks": len(task_list),
-                    "n_extended": report.n_extended,
-                    "wall_s": report.wall_time_s,
-                    # process_time, matching what the forked ranks report
-                    "cpu_s": time.process_time() - cpu0,
-                }
-            ],
-        )
-        return extensions, rep
-
     shards: list[list] = [[] for _ in range(n_ranks)]
     loads = [0] * n_ranks
-    for t in sorted(task_list, key=lambda t: -t.n_reads):
+    for t in sorted(tasks, key=lambda t: -t.n_reads):
         r = loads.index(min(loads))
         shards[r].append(t)
         loads[r] += t.n_reads + 1  # +1: empty tasks still cost dispatch
-    ctx = mp.get_context("fork")
-    queue = ctx.SimpleQueue()
-    procs = []
-    for r in range(n_ranks):
-        part = TaskSet(shards[r])
-        p = ctx.Process(
-            target=_la_rank_main,
-            args=(r, part, queue, extend_kwargs),
-            name=f"repro-la-rank{r}",
-        )
-        p.start()
-        procs.append(p)
 
+    def extend_rank(c: Comm) -> np.ndarray:
+        part = TaskSet(shards[c.rank])
+        extensions, report = extend_tasks(part, **extend_kwargs)
+        c.stats["n_tasks"] = len(part)
+        c.stats["n_extended"] = report.n_extended
+        return _pack_extensions(extensions)
+
+    run = spmd(
+        n_ranks, extend_rank, fork=procrank_available(),
+        counters=("n_tasks", "n_extended"), timeout_s=timeout_s,
+    )
     merged: dict[tuple[int, int], str] = {}
-    per_rank: list[dict] = []
-    errors: list[dict] = []
-    for _ in range(n_ranks):
-        rank, extensions, meta = queue.get()
-        if extensions is None:
-            errors.append(meta)
-        else:
-            merged.update(extensions)
-            per_rank.append(meta)
-    deadline = time.monotonic() + timeout_s
-    for p in procs:
-        p.join(timeout=max(0.1, deadline - time.monotonic()))
-        if p.is_alive():  # pragma: no cover - hung rank
-            p.terminate()
-            p.join(timeout=5.0)
-    if errors:
-        raise RuntimeError(f"local-assembly ranks failed: {errors}")
-    per_rank.sort(key=lambda m: m["rank"])
-    report = RankedAssemblyReport(
+    for res in run.results:
+        merged.update(_unpack_extensions(res))
+    report = RankRunReport(
         n_ranks=n_ranks,
-        mode="procrank",
+        mode=run.mode,
         wall_s=time.perf_counter() - wall0,
-        per_rank=per_rank,
+        per_rank=[LaRankMetrics(r, *row) for r, row in enumerate(run.rank_rows())],
     )
     return merged, report
 
 
-# -- ranked alignment (the batched aligner across real process ranks) --------
+# -- ranked alignment (the batched aligner across ranks) ---------------------
 #
-# The alignment analogue of the k-mer exchange above: reads are sharded
-# contiguously across ranks (pair-aligned, same partition the k-mer
-# ranks use), the packed seed index is *broadcast* once through named
-# shared segments (every rank attaches the same pages — the laptop
-# analogue of klign's replicated-on-node seed table), each rank runs
-# :func:`~repro.pipeline.alignment.align_core` over its shard, and the
-# winner rows are exchanged to *owner* ranks by ``cid % n_ranks`` so
-# each owner holds every row of its contigs and can apply the per-end
+# Reads are sharded contiguously across ranks (pair-aligned, the same
+# partition the k-mer ranks use); every rank reads the one packed seed
+# index the parent built, inherited through fork like the reads, and
+# runs :func:`~repro.pipeline.alignment.align_core` over its shard.  The
+# winner rows are exchanged to *owner* ranks by ``cid % n_ranks`` so each
+# owner holds every row of its contigs and can apply the per-end
 # recruitment caps exactly.  The parent merges the owner shards back
 # into global emission order, so the result is bit-identical to the
-# single-process :func:`~repro.pipeline.alignment.align_reads` at every
-# rank count — the invariant the property tests enforce.
+# single-process :func:`~repro.pipeline.alignment.align_reads`.
 
 #: wire row layout of one winner alignment (all int64):
 #: read, seq_in_read, cid, offset, is_rc, matches, mismatches, ov_len
@@ -870,49 +413,6 @@ _ALN_COLS = 8
 #: owner rows append the recruit flags: ... , left, right
 _ALN_OWN_COLS = _ALN_COLS + 2
 _ALN_ROW_BYTES = _ALN_COLS * 8
-
-#: seed-index arrays broadcast through shared memory, by field name.
-_IDX_FIELDS = ("words", "slot", "pos", "cbases", "coff", "cids")
-
-
-def _aout_name(token: str, rank: int) -> str:
-    return f"repro-{token}-aout{rank}"
-
-
-def _aown_name(token: str, rank: int) -> str:
-    return f"repro-{token}-aown{rank}"
-
-
-def _idx_name(token: str, fieldname: str) -> str:
-    return f"repro-{token}-idx-{fieldname}"
-
-
-@dataclass
-class AlnRankMetrics:
-    """Measured per-rank accounting of one ranked alignment."""
-
-    rank: int
-    wall_s: float
-    cpu_s: float
-    align_s: float
-    pack_s: float
-    exchange_s: float
-    flags_s: float
-    sent_rows: int
-    recv_rows: int
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
-            "align_s": self.align_s,
-            "pack_s": self.pack_s,
-            "exchange_s": self.exchange_s,
-            "flags_s": self.flags_s,
-            "sent_rows": self.sent_rows,
-            "recv_rows": self.recv_rows,
-        }
 
 
 # -- pure wire-format building blocks (transport-free, unit-testable) --------
@@ -973,225 +473,6 @@ def group_rows_by_owner(
     return wire[order], dest_counts
 
 
-def _aln_stats_from_counts(
-    counts: np.ndarray, comm: CommCostModel
-) -> ExchangeStats:
-    """Exchange volume of the alignment-row shuffle (64-byte rows).
-
-    ``total_kmers_sent`` carries the row count — the field predates the
-    alignment exchange; the bench reports it as ``rows_sent``.
-    """
-    n_ranks = counts.shape[0]
-    offdiag = counts.copy()
-    np.fill_diagonal(offdiag, 0)
-    bytes_per_rank = offdiag.sum(axis=1) * _ALN_ROW_BYTES
-    bytes_max = int(bytes_per_rank.max()) if n_ranks > 1 else 0
-    return ExchangeStats(
-        n_ranks=n_ranks,
-        total_kmers_sent=int(offdiag.sum()),
-        bytes_per_rank_max=bytes_max,
-        modelled_time_s=comm.alltoall_time(bytes_max, n_ranks),
-    )
-
-
-def _publish_index(token: str, index) -> tuple[dict, list]:
-    """Copy a :class:`~repro.pipeline.alignment.PackedSeedIndex`'s flat
-    arrays into named shared segments; returns the attach metadata
-    ``{field: (shape, dtype_str)}`` plus the root arrays (kept alive by
-    the caller until the ranks have attached)."""
-    fields = {
-        "words": index.words,
-        "slot": index.slot,
-        "pos": index.pos,
-        "cbases": index.cbases,
-        "coff": index.coff,
-        "cids": index.cids,
-    }
-    meta: dict = {}
-    segs: list = []
-    for fieldname in _IDX_FIELDS:
-        arr = fields[fieldname]
-        seg = create_named_shared_array(
-            _idx_name(token, fieldname), arr.shape, arr.dtype
-        )
-        if arr.size:
-            seg[...] = arr
-        segs.append(seg)
-        meta[fieldname] = (arr.shape, arr.dtype.str)
-    return meta, segs
-
-
-def _attach_index(token: str, idx_meta: dict, seed_len: int, stride: int):
-    """Attach the broadcast seed-index segments and rebuild the index
-    (zero-copy: the index arrays are views over the shared pages).
-    Returns ``(index, segments)``; the caller closes the segments."""
-    from repro.pipeline.alignment import PackedSeedIndex
-
-    segs: list = []
-    arrs: dict = {}
-    for fieldname in _IDX_FIELDS:
-        shape, dt = idx_meta[fieldname]
-        seg = attach_shared_array(_idx_name(token, fieldname), shape, dt)
-        segs.append(seg)
-        arrs[fieldname] = seg
-    index = PackedSeedIndex.from_arrays(
-        seed_len,
-        arrs["cids"],
-        arrs["cbases"],
-        arrs["coff"],
-        arrs["words"],
-        arrs["slot"],
-        arrs["pos"],
-        stride=stride,
-    )
-    return index, segs
-
-
-def _aln_rank_main(
-    rank: int,
-    batch: ReadBatch,
-    n_ranks: int,
-    token: str,
-    idx_meta: dict,
-    seed_len: int,
-    aln_params: dict,
-    contig_len_of: np.ndarray,
-    max_reads_per_end: int,
-    counts: np.ndarray,
-    own_counts: np.ndarray,
-    aln_stats: np.ndarray,
-    metrics: np.ndarray,
-    status: np.ndarray,
-    barrier,
-    timeout_s: float,
-    profile_dir: str | None,
-) -> None:
-    """Body of one alignment rank (fork-started; shared arrays are the
-    parent's pages, the read batch is fork-inherited)."""
-    from repro.pipeline.alignment import recruit_flags
-
-    try:
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        prof = HostProfiler(enabled=profile_dir is not None)
-        label = f"rank{rank}"
-
-        t0 = time.perf_counter()
-        index, segs = _attach_index(token, idx_meta, seed_len, stride=1)
-        try:
-            from repro.pipeline.alignment import align_core
-
-            bounds = _partition_bounds(batch, n_ranks)
-            shard = partition_part(batch, n_ranks, rank)
-            rows = align_core(
-                index,
-                shard,
-                read_base=int(bounds[rank]),
-                profile=prof,
-                **aln_params,
-            )
-        finally:
-            for seg in segs:
-                seg.close()
-        aln_stats[rank, 0] = rows.n_seed_hits
-        aln_stats[rank, 1] = rows.n_reads_aligned
-        t_align = time.perf_counter() - t0
-        prof.add("align", label, t0, t_align)
-
-        t0 = time.perf_counter()
-        wire, dest_counts = group_rows_by_owner(
-            aln_wire_rows(rows), n_ranks
-        )
-        outbox = create_named_shared_array(
-            _aout_name(token, rank), (wire.shape[0], _ALN_COLS), np.int64
-        )
-        if wire.size:
-            outbox[...] = wire
-        counts[rank, :] = dest_counts
-        t_pack = time.perf_counter() - t0
-        prof.add("pack", label, t0, t_pack)
-
-        # Fence: every outbox and counts row is published past this point.
-        barrier.wait(timeout=timeout_s)
-
-        t0 = time.perf_counter()
-        offs = np.zeros(n_ranks + 1, dtype=np.int64)
-        parts: list[np.ndarray] = []
-        attached: list[np.ndarray] = []
-        recv = 0
-        try:
-            for src in range(n_ranks):
-                np.cumsum(counts[src], out=offs[1:])
-                if src == rank:
-                    box = wire  # own outbox: already local
-                else:
-                    box = attach_shared_array(
-                        _aout_name(token, src),
-                        (int(offs[-1]), _ALN_COLS),
-                        np.int64,
-                    )
-                    attached.append(box)
-                mine = np.array(
-                    box[offs[rank] : offs[rank + 1]], dtype=np.int64
-                )
-                parts.append(mine)
-                if src != rank:
-                    recv += len(mine)
-        finally:
-            for box in attached:
-                box.close()
-        inbox = np.concatenate(parts)
-        t_exch = time.perf_counter() - t0
-        prof.add("exchange", label, t0, t_exch)
-
-        t0 = time.perf_counter()
-        # Owner holds ALL rows of its cids; restoring global emission
-        # order (read asc, seq_in_read asc) makes the first-N-per-cid
-        # caps identical to the single-process pass.
-        order = np.lexsort((inbox[:, 1], inbox[:, 0]))
-        inbox = inbox[order]
-        left, right = recruit_flags(
-            rows_from_wire(inbox),
-            batch.lengths(),
-            contig_len_of,
-            max_reads_per_end,
-        )
-        own = np.empty((inbox.shape[0], _ALN_OWN_COLS), dtype=np.int64)
-        own[:, :_ALN_COLS] = inbox
-        own[:, _ALN_COLS] = left
-        own[:, _ALN_COLS + 1] = right
-        ownbox = create_named_shared_array(
-            _aown_name(token, rank), own.shape, np.int64
-        )
-        if own.size:
-            ownbox[...] = own
-        own_counts[rank] = own.shape[0]
-        t_flags = time.perf_counter() - t0
-        prof.add("flags", label, t0, t_flags)
-
-        metrics[rank, _M_WALL] = time.perf_counter() - wall0
-        metrics[rank, _M_CPU] = time.process_time() - cpu0
-        metrics[rank, _M_COUNT] = t_align
-        metrics[rank, _M_PACK] = t_pack
-        metrics[rank, _M_EXCH] = t_exch
-        metrics[rank, _M_MERGE] = t_flags
-        metrics[rank, _M_SENT] = float(
-            int(dest_counts.sum()) - int(dest_counts[rank])
-        )
-        metrics[rank, _M_RECV] = float(recv)
-        if profile_dir is not None:
-            prof.save_json(Path(profile_dir) / f"rank{rank}.json")
-        status[rank] = _STATUS_OK
-    except Exception:
-        traceback.print_exc()
-        status[rank] = _STATUS_FAILED
-        try:
-            barrier.abort()  # wake peers instead of deadlocking them
-        except Exception:
-            pass
-        sys.exit(1)
-
-
 def ranked_align(
     contigs,
     reads: ReadBatch,
@@ -1205,7 +486,7 @@ def ranked_align(
     timeout_s: float = 120.0,
     comm: CommCostModel | None = None,
 ):
-    """Align *reads* to *contigs* across *n_ranks* real processes.
+    """Align *reads* to *contigs* across *n_ranks* ranks.
 
     Returns ``(AlignmentResult, ExchangeStats, RankRunReport)``.  The
     result is bit-identical to the single-process
@@ -1214,259 +495,67 @@ def ranked_align(
     report carries per-rank :class:`AlnRankMetrics` (align / pack /
     exchange / flags, the :data:`ALN_RANK_PHASES`).
 
-    Falls back to an in-process run of the identical shard-and-exchange
-    logic when fork/shared memory is unavailable or ``n_ranks == 1``
-    (``report.mode == "inproc"``).
+    Ranks are forked processes wherever :func:`procrank_available`, else
+    threads over in-memory mailboxes (``report.mode == "inproc"``).
     """
     from repro.pipeline.alignment import (
         MAX_READS_PER_END,
         PackedSeedIndex,
         _contig_len_of,
-        materialise_alignment,
-    )
-
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    if max_reads_per_end is None:
-        max_reads_per_end = MAX_READS_PER_END
-    comm = comm or CommCostModel()
-    index = PackedSeedIndex(contigs, seed_len=seed_len)
-    contig_len_of = _contig_len_of(contigs)
-    aln_params = {
-        "read_seed_stride": read_seed_stride,
-        "min_identity": min_identity,
-        "min_overlap": min_overlap,
-    }
-    if n_ranks == 1 or not procrank_available():
-        return _ranked_align_inproc(
-            index, contigs, reads, n_ranks, aln_params, contig_len_of,
-            max_reads_per_end, profile, comm,
-        )
-
-    ctx = mp.get_context("fork")
-    token = launch_token()
-    # Register every derivable name *before* forking (and before the
-    # index broadcast is created): if anything below raises, the atexit
-    # sweep still unlinks whatever got created.
-    for fieldname in _IDX_FIELDS:
-        register_launch_segment(token, _idx_name(token, fieldname))
-    for r in range(n_ranks):
-        register_launch_segment(token, _aout_name(token, r))
-        register_launch_segment(token, _aown_name(token, r))
-
-    counts = own_counts = aln_stats = metrics = status = None
-    profile_dir = None
-    wall0 = time.perf_counter()
-    procs = []
-    try:
-        idx_meta, idx_segs = _publish_index(token, index)
-        counts = create_shared_array((n_ranks, n_ranks), np.int64)
-        own_counts = create_shared_array((n_ranks,), np.int64)
-        aln_stats = create_shared_array((n_ranks, 2), np.int64)
-        metrics = create_shared_array((n_ranks, _N_METRICS), np.float64)
-        status = create_shared_array((n_ranks,), np.int64)
-        barrier = ctx.Barrier(n_ranks)
-        if profile:
-            profile_dir = tempfile.mkdtemp(prefix="repro-alnprof-")
-
-        for r in range(n_ranks):
-            p = ctx.Process(
-                target=_aln_rank_main,
-                args=(
-                    r, reads, n_ranks, token, idx_meta, seed_len,
-                    aln_params, contig_len_of, max_reads_per_end,
-                    counts, own_counts, aln_stats, metrics, status,
-                    barrier, timeout_s, profile_dir,
-                ),
-                name=f"repro-aln-rank{r}",
-            )
-            p.start()
-            procs.append(p)
-        deadline = time.monotonic() + timeout_s * 2
-        for p in procs:
-            p.join(timeout=max(0.1, deadline - time.monotonic()))
-        alive = [p.name for p in procs if p.is_alive()]
-        if alive:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(timeout=5.0)
-            raise TimeoutError(f"alignment ranks hung past timeout: {alive}")
-        bad = [
-            (p.name, p.exitcode, int(status[i]))
-            for i, p in enumerate(procs)
-            if p.exitcode != 0 or int(status[i]) != _STATUS_OK
-        ]
-        if bad:
-            raise RuntimeError(f"alignment ranks failed: {bad}")
-
-        parts = []
-        shards = []
-        try:
-            for r in range(n_ranks):
-                nrow = int(own_counts[r])
-                shard = attach_shared_array(
-                    _aown_name(token, r), (nrow, _ALN_OWN_COLS), np.int64
-                )
-                shards.append(shard)
-                parts.append(np.array(shard))
-        finally:
-            for shard in shards:
-                shard.close()
-        merged = np.concatenate(parts)
-        order = np.lexsort((merged[:, 1], merged[:, 0]))
-        merged = merged[order]
-        rows = rows_from_wire(
-            merged[:, :_ALN_COLS],
-            n_seed_hits=int(aln_stats[:, 0].sum()),
-            n_reads_aligned=int(aln_stats[:, 1].sum()),
-        )
-        aln = materialise_alignment(
-            rows,
-            contigs,
-            reads,
-            max_reads_per_end,
-            recruit_left=merged[:, _ALN_COLS].astype(bool),
-            recruit_right=merged[:, _ALN_COLS + 1].astype(bool),
-        )
-        stats = _aln_stats_from_counts(np.array(counts), comm)
-        per_rank = [
-            AlnRankMetrics(
-                rank=r,
-                wall_s=float(metrics[r, _M_WALL]),
-                cpu_s=float(metrics[r, _M_CPU]),
-                align_s=float(metrics[r, _M_COUNT]),
-                pack_s=float(metrics[r, _M_PACK]),
-                exchange_s=float(metrics[r, _M_EXCH]),
-                flags_s=float(metrics[r, _M_MERGE]),
-                sent_rows=int(metrics[r, _M_SENT]),
-                recv_rows=int(metrics[r, _M_RECV]),
-            )
-            for r in range(n_ranks)
-        ]
-        report = RankRunReport(
-            n_ranks=n_ranks,
-            mode="procrank",
-            wall_s=time.perf_counter() - wall0,
-            per_rank=per_rank,
-        )
-        if profile_dir is not None:
-            report.profiles = _load_rank_profiles(profile_dir, n_ranks)
-        result = (aln, stats, report)
-    finally:
-        cleanup_launch_segments(token)
-        for arr in (counts, own_counts, aln_stats, metrics, status):
-            if arr is not None:
-                arr.unlink()
-        if profile_dir is not None:
-            shutil.rmtree(profile_dir, ignore_errors=True)
-    return result
-
-
-def _ranked_align_inproc(
-    index,
-    contigs,
-    reads: ReadBatch,
-    n_ranks: int,
-    aln_params: dict,
-    contig_len_of: np.ndarray,
-    max_reads_per_end: int,
-    profile: bool,
-    comm: CommCostModel,
-):
-    """The identical shard/exchange/flags logic run sequentially in one
-    process — the ``n_ranks == 1`` path, the fallback when fork/shared
-    memory is unavailable, and the reference the property tests drive."""
-    from repro.pipeline.alignment import (
         align_core,
         materialise_alignment,
         recruit_flags,
     )
 
+    if max_reads_per_end is None:
+        max_reads_per_end = MAX_READS_PER_END
     wall0 = time.perf_counter()
-    counts = np.zeros((n_ranks, n_ranks), dtype=np.int64)
-    outboxes: list[np.ndarray] = []
-    profs = [HostProfiler(enabled=profile) for _ in range(n_ranks)]
-    timings: list[dict] = []
-    n_seed_hits = 0
-    n_reads_aligned = 0
     bounds = _partition_bounds(reads, n_ranks)
+    index = PackedSeedIndex(contigs, seed_len=seed_len)
+    contig_len_of = _contig_len_of(contigs)
     read_lengths = reads.lengths()
-    for r in range(n_ranks):
-        c0, t0 = time.process_time(), time.perf_counter()
-        shard = partition_part(reads, n_ranks, r)
-        rows = align_core(
-            index, shard, read_base=int(bounds[r]), profile=profs[r],
-            **aln_params,
-        )
-        t_align = time.perf_counter() - t0
-        profs[r].add("align", f"rank{r}", t0, t_align)
-        t0 = time.perf_counter()
-        wire, dest_counts = group_rows_by_owner(aln_wire_rows(rows), n_ranks)
-        counts[r, :] = dest_counts
-        outboxes.append(wire)
-        n_seed_hits += rows.n_seed_hits
-        n_reads_aligned += rows.n_reads_aligned
-        t_pack = time.perf_counter() - t0
-        profs[r].add("pack", f"rank{r}", t0, t_pack)
-        timings.append(
-            {"align": t_align, "pack": t_pack,
-             "cpu": time.process_time() - c0,
-             "sent": int(dest_counts.sum()) - int(dest_counts[r])}
-        )
 
-    t0 = time.perf_counter()
-    inbox_parts: list[list[np.ndarray]] = [[] for _ in range(n_ranks)]
-    for src, wire in enumerate(outboxes):
-        offs = np.zeros(n_ranks + 1, dtype=np.int64)
-        np.cumsum(counts[src], out=offs[1:])
-        for dest in range(n_ranks):
-            inbox_parts[dest].append(wire[offs[dest] : offs[dest + 1]])
-    t_exch_all = time.perf_counter() - t0
-
-    per_rank: list[AlnRankMetrics] = []
-    own_parts: list[np.ndarray] = []
-    for r in range(n_ranks):
-        c0, t0 = time.process_time(), time.perf_counter()
-        profs[r].add("exchange", f"rank{r}", t0, t_exch_all / n_ranks)
-        inbox = np.concatenate(inbox_parts[r])
-        order = np.lexsort((inbox[:, 1], inbox[:, 0]))
-        inbox = inbox[order]
-        left, right = recruit_flags(
-            rows_from_wire(inbox), read_lengths, contig_len_of,
-            max_reads_per_end,
-        )
-        own = np.empty((inbox.shape[0], _ALN_OWN_COLS), dtype=np.int64)
-        own[:, :_ALN_COLS] = inbox
-        own[:, _ALN_COLS] = left
-        own[:, _ALN_COLS + 1] = right
-        own_parts.append(own)
-        t_flags = time.perf_counter() - t0
-        profs[r].add("flags", f"rank{r}", t0, t_flags)
-        recv = int(counts[:, r].sum()) - int(counts[r, r])
-        per_rank.append(
-            AlnRankMetrics(
-                rank=r,
-                wall_s=timings[r]["align"] + timings[r]["pack"]
-                + t_exch_all / n_ranks + t_flags,
-                cpu_s=timings[r]["cpu"] + (time.process_time() - c0),
-                align_s=timings[r]["align"],
-                pack_s=timings[r]["pack"],
-                exchange_s=t_exch_all / n_ranks,
-                flags_s=t_flags,
-                sent_rows=timings[r]["sent"],
-                recv_rows=recv,
+    def align_rank(c: Comm) -> np.ndarray:
+        with c.phase("align"):
+            rows = align_core(
+                index,
+                partition_part(reads, n_ranks, c.rank),
+                read_base=int(bounds[c.rank]),
+                read_seed_stride=read_seed_stride,
+                min_identity=min_identity,
+                min_overlap=min_overlap,
+                profile=c.profiler,
             )
-        )
+        c.stats["seed_hits"] = rows.n_seed_hits
+        c.stats["reads_aligned"] = rows.n_reads_aligned
+        with c.phase("pack"):
+            wire, dest_counts = group_rows_by_owner(aln_wire_rows(rows), n_ranks)
+        with c.phase("exchange"):
+            inbox = c.alltoallv(wire, dest_counts)
+        with c.phase("flags"):
+            # Owner holds ALL rows of its cids; restoring global emission
+            # order (read asc, seq_in_read asc) makes the first-N-per-cid
+            # caps identical to the single-process pass.
+            inbox = inbox[np.lexsort((inbox[:, 1], inbox[:, 0]))]
+            left, right = recruit_flags(
+                rows_from_wire(inbox), read_lengths, contig_len_of,
+                max_reads_per_end,
+            )
+            return np.column_stack((inbox, left, right))
 
-    merged = np.concatenate(own_parts)
-    order = np.lexsort((merged[:, 1], merged[:, 0]))
-    merged = merged[order]
+    run = spmd(
+        n_ranks, align_rank, fork=procrank_available(), phases=ALN_RANK_PHASES,
+        counters=("sent", "recv", "seed_hits", "reads_aligned"),
+        profile=profile, timeout_s=timeout_s,
+    )
+    merged = np.concatenate(
+        [res.reshape(-1, _ALN_OWN_COLS) for res in run.results]
+    )
+    merged = merged[np.lexsort((merged[:, 1], merged[:, 0]))]
     rows = rows_from_wire(
         merged[:, :_ALN_COLS],
-        n_seed_hits=n_seed_hits,
-        n_reads_aligned=n_reads_aligned,
+        n_seed_hits=run.total("seed_hits"),
+        n_reads_aligned=run.total("reads_aligned"),
     )
     aln = materialise_alignment(
         rows,
@@ -1476,12 +565,13 @@ def _ranked_align_inproc(
         recruit_left=merged[:, _ALN_COLS].astype(bool),
         recruit_right=merged[:, _ALN_COLS + 1].astype(bool),
     )
-    stats = _aln_stats_from_counts(counts, comm)
     report = RankRunReport(
         n_ranks=n_ranks,
-        mode="inproc",
+        mode=run.mode,
         wall_s=time.perf_counter() - wall0,
-        per_rank=per_rank,
-        profiles=[p.to_json() for p in profs] if profile else None,
+        per_rank=[
+            AlnRankMetrics(r, *row[:8]) for r, row in enumerate(run.rank_rows())
+        ],
+        profiles=run.profiles,
     )
-    return aln, stats, report
+    return aln, _exchange_stats(run.counts, _ALN_ROW_BYTES, comm), report

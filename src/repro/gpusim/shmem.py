@@ -180,7 +180,7 @@ def attach_shared_array(name: str, shape, dtype) -> SharedNDArray:
 
 # -- named segments (the rank-exchange mailboxes) ---------------------------
 #
-# The process-rank exchange (repro.distributed.procrank) needs segments
+# The process-rank exchange (repro.distributed.spmd) needs segments
 # peers can attach *by constructed name* — rank r publishes its outbox as
 # ``repro-<token>-out<r>`` and every peer derives the same string.  Names
 # must therefore be collision-proof across concurrent launches on one

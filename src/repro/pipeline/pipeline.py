@@ -59,9 +59,9 @@ class PipelineConfig:
     min_overlap: int = 30
     #: process ranks for the alignment stage (1 = single-process batched
     #: aligner; >1 shards reads over forked ranks that share the seed
-    #: index through broadcast shared-memory segments and exchange
-    #: winner rows by contig owner — bit-identical AlignmentResult, so
-    #: local assembly and scaffolding are unaffected)
+    #: index they inherit and exchange winner rows by contig owner —
+    #: bit-identical AlignmentResult, so local assembly and scaffolding
+    #: are unaffected)
     aln_ranks: int = 1
     # local assembly
     local_assembly: LocalAssemblyConfig = field(default_factory=LocalAssemblyConfig)

@@ -19,7 +19,7 @@ linted code), same contract as :mod:`repro.sanitize.lint`:
   - ``create_named_shared_array(...)`` must pass ``token=`` (the
     launch-registry hook) or its name expression must be registered
     via ``register_launch_segment`` somewhere in the same module
-    (the procrank pattern: all derivable names are registered before
+    (the spmd pattern: all derivable names are registered before
     the fork, so the atexit sweep covers crashes);
   - ``x = create_shared_array(...)`` must sit inside a ``try`` whose
     ``finally`` unlinks (an ``.unlink()`` call or
@@ -42,8 +42,9 @@ linted code), same contract as :mod:`repro.sanitize.lint`:
   child deadlocks forever.
 
 * **rank-nondeterminism** — functions used as fork targets
-  (``Process(target=...)``) and their same-module callees must not
-  call into ``random``, ``datetime`` or ``np.random``: rank workers
+  (``Process(target=...)``) or as rank functions of an
+  ``spmd(n_ranks, rank_fn)`` launch, and their same-module callees,
+  must not call into ``random``, ``datetime`` or ``np.random``: rank workers
   must be pure functions of their inherited arguments or
   bit-identity across rank counts is unprovable.  (``time`` is
   allowed — the ranks measure themselves.)
@@ -422,10 +423,15 @@ def _check_lock_fork(path: str, tree: ast.Module, findings: list) -> None:
 
 
 def _fork_targets(tree: ast.Module) -> set[str]:
-    """Function names passed as ``target=`` of a Process-like call."""
+    """Function names passed as ``target=`` of a Process-like call, or
+    as the rank function of an ``spmd(n_ranks, rank_fn, ...)`` launch."""
     targets: set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
+            continue
+        if _call_name(node) == "spmd" and len(node.args) >= 2:
+            if isinstance(node.args[1], ast.Name):
+                targets.add(node.args[1].id)
             continue
         if _call_name(node) not in ("Process", "Thread"):
             continue

@@ -2,7 +2,7 @@
 
 The gpusim racecheck stops at the device boundary — it sees lanes and
 warps inside one launch.  The process-rank layer
-(:mod:`repro.distributed.procrank`) has its own race surface: R forked
+(:mod:`repro.distributed.spmd`) has its own race surface: R forked
 processes mutating named shared-memory segments, fenced only by a
 barrier.  ``rankcheck`` is the happens-before checker for that layer,
 the process-granularity mirror of racecheck's last-writer shadow:

@@ -11,17 +11,20 @@ Three layers of guarantees:
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
 
+from repro.distributed import procrank
+from repro.distributed import spmd as spmd_mod
 from repro.distributed.procrank import (
     RANK_PHASES,
     distributed_count_proc,
-    _distributed_count_inproc,
     exchange_rows,
     pack_for_exchange,
     procrank_available,
+    ranked_align,
     ranked_extend_tasks,
 )
 from repro.distributed.rank import (
@@ -31,7 +34,6 @@ from repro.distributed.rank import (
     partition_reads,
     spectrum_from_records,
 )
-from repro.distributed.comm import CommCostModel
 from repro.gpusim.shmem import (
     cleanup_launch_segments,
     create_named_shared_array,
@@ -51,6 +53,36 @@ def batch():
     rng = np.random.default_rng(31)
     comm = arcticsynth_like(rng, n_genomes=2, genome_length=4000)
     return sample_paired_reads(comm, 400, rng)
+
+
+@pytest.fixture(scope="module")
+def assembly():
+    """Contigs, the reads they came from, and the extension tasks the
+    alignment of those reads yields."""
+    from repro.core.tasks import tasks_from_candidates
+    from repro.pipeline.alignment import align_reads
+    from repro.pipeline.contig_generation import generate_contigs
+    from repro.pipeline.kmer_analysis import analyze_kmers
+    from repro.pipeline.merge_reads import merge_read_pairs
+
+    rng = np.random.default_rng(5)
+    comm = arcticsynth_like(rng, n_genomes=2, genome_length=5000)
+    reads = sample_paired_reads(comm, 600, rng)
+    merged, _ = merge_read_pairs(reads)
+    contigs = generate_contigs(analyze_kmers(merged, 21))
+    aln = align_reads(contigs, reads)
+    tasks = tasks_from_candidates(
+        {c.cid: c.seq for c in contigs}, aln.candidates.values()
+    )
+    return contigs, reads, tasks
+
+
+def _shm_snapshot():
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return frozenset()
+    return frozenset(n for n in names if n.startswith(("psm_", "repro-")))
 
 
 def _spectra_equal(a, b) -> bool:
@@ -152,14 +184,18 @@ class TestProcessRanks:
         recv = sum(m.recv_records for m in report.per_rank)
         assert sent == recv == stats.total_kmers_sent
 
-    def test_inproc_fallback_identical(self, batch):
+    def test_inproc_fallback_identical(self, batch, monkeypatch):
         single = count_kmers(batch, 21, min_count=2)
-        spec, _, report = _distributed_count_inproc(
-            batch, 21, 3, min_count=2, min_qual=0, profile=False,
-            comm=CommCostModel(),
-        )
+        _, ref_stats, _ = distributed_count_proc(batch, 21, 3, min_count=2)
+        monkeypatch.setattr(procrank, "procrank_available", lambda: False)
+        spec, stats, report = distributed_count_proc(batch, 21, 3, min_count=2)
         assert _spectra_equal(single, spec)
         assert report.mode == "inproc"
+        assert len(report.per_rank) == 3
+        assert stats.total_kmers_sent == ref_stats.total_kmers_sent
+        assert sum(m.recv_records for m in report.per_rank) == (
+            stats.total_kmers_sent
+        )
 
     def test_profiles_have_rank_phases(self, batch):
         _, _, report = distributed_count_proc(
@@ -199,57 +235,101 @@ class TestProcessRanks:
 
 
 class TestCrashRecovery:
-    """Satellite: a rank crashing between publish and barrier must not
-    leave segments behind — the survivors abort, the parent sweeps."""
+    """Satellite: a rank crashing between publish and fence must not
+    leave segments behind — the survivors abort, the parent sweeps, and
+    the next launch is healthy and bit-identical.  The k-mer stage here;
+    the subclasses below run the same checks on the alignment and
+    local-assembly stages."""
 
-    def _shm_snapshot(self):
-        try:
-            names = os.listdir("/dev/shm")
-        except OSError:
-            return frozenset()
-        return frozenset(n for n in names if n.startswith(("psm_", "repro-")))
-
-    def test_crash_between_publish_and_barrier_leaves_shm_clean(self, batch):
-        import repro.distributed.procrank as pr
-
-        before = self._shm_snapshot()
-        pr._CRASH_RANK = 1
-        try:
-            with pytest.raises(RuntimeError, match="rank process"):
-                pr.distributed_count_proc(batch, 21, 2, min_count=2)
-        finally:
-            pr._CRASH_RANK = None
-        leaked = sorted(self._shm_snapshot() - before)
-        assert leaked == []
-
-    def test_crash_under_rankcheck_still_sweeps(self, batch):
-        import repro.distributed.procrank as pr
-
-        before = self._shm_snapshot()
-        pr._CRASH_RANK = 0
-        try:
-            with pytest.raises(RuntimeError, match="rank process"):
-                pr.distributed_count_proc(
-                    batch, 21, 2, min_count=2, sanitize="rankcheck"
-                )
-        finally:
-            pr._CRASH_RANK = None
-        leaked = sorted(self._shm_snapshot() - before)
-        assert leaked == []
-
-    def test_next_launch_after_crash_is_healthy(self, batch):
-        import repro.distributed.procrank as pr
-
-        pr._CRASH_RANK = 1
-        try:
-            with pytest.raises(RuntimeError):
-                pr.distributed_count_proc(batch, 21, 2, min_count=2)
-        finally:
-            pr._CRASH_RANK = None
+    @pytest.fixture
+    def stage(self, batch):
+        """``(launch, check, rankcheck)``: ``launch(n_ranks, **kw)``
+        returns ``(result, report)``, ``check`` asserts a result equals
+        the single-process one, ``rankcheck`` are the launch keywords
+        that trace the run (empty where the stage has no such knob)."""
         single = count_kmers(batch, 21, min_count=2)
-        spec, _, report = pr.distributed_count_proc(batch, 21, 2, min_count=2)
+
+        def launch(n_ranks, **kw):
+            spec, _, report = distributed_count_proc(
+                batch, 21, n_ranks, min_count=2, **kw
+            )
+            return spec, report
+
+        def check(spec):
+            assert _spectra_equal(single, spec)
+
+        return launch, check, {"sanitize": "rankcheck"}
+
+    def test_crash_between_publish_and_barrier_leaves_shm_clean(
+        self, stage, monkeypatch
+    ):
+        launch, _, _ = stage
+        before = _shm_snapshot()
+        monkeypatch.setattr(spmd_mod, "_CRASH_RANK", 1)
+        with pytest.raises(RuntimeError, match="rank process"):
+            launch(2)
+        leaked = sorted(_shm_snapshot() - before)
+        assert leaked == []
+
+    def test_crash_under_rankcheck_still_sweeps(self, stage, monkeypatch):
+        launch, _, rankcheck = stage
+        before = _shm_snapshot()
+        monkeypatch.setattr(spmd_mod, "_CRASH_RANK", 0)
+        with pytest.raises(RuntimeError, match="rank process"):
+            launch(2, **rankcheck)
+        leaked = sorted(_shm_snapshot() - before)
+        assert leaked == []
+
+    def test_next_launch_after_crash_is_healthy(self, stage, monkeypatch):
+        launch, check, _ = stage
+        with monkeypatch.context() as m:
+            m.setattr(spmd_mod, "_CRASH_RANK", 1)
+            with pytest.raises(RuntimeError):
+                launch(2)
+        result, report = launch(2)
         assert report.mode == "procrank"
-        assert _spectra_equal(single, spec)
+        check(result)
+
+
+class TestCrashRecoveryAlignment(TestCrashRecovery):
+    @pytest.fixture
+    def stage(self, assembly):
+        from repro.pipeline.alignment import align_reads
+
+        contigs, reads, _ = assembly
+        ref = align_reads(contigs, reads)
+
+        def launch(n_ranks, **kw):
+            aln, _, report = ranked_align(contigs, reads, n_ranks, **kw)
+            return aln, report
+
+        def check(aln):
+            assert aln.alignments == ref.alignments
+            assert aln.n_seed_hits == ref.n_seed_hits
+            assert {c: (len(e.left), len(e.right))
+                    for c, e in aln.candidates.items()} == {
+                c: (len(e.left), len(e.right))
+                for c, e in ref.candidates.items()
+            }
+
+        return launch, check, {}
+
+
+class TestCrashRecoveryLocalAssembly(TestCrashRecovery):
+    @pytest.fixture
+    def stage(self, assembly):
+        from repro.core.local_assembler import extend_tasks
+
+        _, _, tasks = assembly
+        ref, _ = extend_tasks(tasks)
+
+        def launch(n_ranks, **kw):
+            return ranked_extend_tasks(tasks, n_ranks, **kw)
+
+        def check(extensions):
+            assert extensions == ref
+
+        return launch, check, {}
 
 
 class TestSegmentNaming:
@@ -322,23 +402,8 @@ class TestPipelineBitIdentity:
 @pytest.mark.skipif(not procrank_available(), reason="needs fork + shm")
 class TestRankedLocalAssembly:
     @pytest.fixture(scope="class")
-    def tasks(self):
-        """A small real task set: community reads through alignment."""
-        from repro.core.tasks import tasks_from_candidates
-        from repro.pipeline.alignment import align_reads
-        from repro.pipeline.contig_generation import generate_contigs
-        from repro.pipeline.kmer_analysis import analyze_kmers
-        from repro.pipeline.merge_reads import merge_read_pairs
-
-        rng = np.random.default_rng(5)
-        comm = arcticsynth_like(rng, n_genomes=2, genome_length=5000)
-        reads = sample_paired_reads(comm, 600, rng)
-        merged, _ = merge_read_pairs(reads)
-        contigs = generate_contigs(analyze_kmers(merged, 21))
-        aln = align_reads(contigs, reads)
-        return tasks_from_candidates(
-            {c.cid: c.seq for c in contigs}, aln.candidates.values()
-        )
+    def tasks(self, assembly):
+        return assembly[2]
 
     def test_extensions_identical_across_rank_counts(self, tasks):
         base, _ = ranked_extend_tasks(tasks, 1, mode="gpu")
@@ -348,3 +413,35 @@ class TestRankedLocalAssembly:
             assert report.mode == "procrank"
             assert len(report.per_rank) == ranks
             assert report.cpu_critical_s > 0
+
+    def test_inproc_transport_identical(self, tasks, monkeypatch):
+        from repro.core.local_assembler import extend_tasks
+
+        base, _ = extend_tasks(tasks, mode="gpu")
+        monkeypatch.setattr(procrank, "procrank_available", lambda: False)
+        ext, report = ranked_extend_tasks(tasks, 3, mode="gpu")
+        assert report.mode == "inproc"
+        assert ext == base
+        assert sum(m.n_tasks for m in report.per_rank) == len(tasks)
+
+    def test_rank_exiting_hard_raises_within_timeout(self, tasks, monkeypatch):
+        """A rank that dies without reporting (``os._exit`` inside
+        ``extend_tasks``) must fail the launch — not hang the parent —
+        and leave no segment behind."""
+        import repro.core.local_assembler as la
+
+        real = la.extend_tasks
+        victim = max(tasks, key=lambda t: t.n_reads)
+
+        def exits_hard(part, **kw):
+            if any(t is victim for t in part):
+                os._exit(1)
+            return real(part, **kw)
+
+        monkeypatch.setattr(la, "extend_tasks", exits_hard)
+        before = _shm_snapshot()
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="rank process"):
+            ranked_extend_tasks(tasks, 2, timeout_s=20.0)
+        assert time.monotonic() - t0 < 20.0
+        assert sorted(_shm_snapshot() - before) == []

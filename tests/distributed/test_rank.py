@@ -1,10 +1,12 @@
-"""Tests for the functional rank simulation (distributed k-mer analysis)."""
+"""Tests for the distributed k-mer analysis: partitioning, ownership,
+spectrum merging and the rank-count invariant of the counted spectrum."""
 
 import numpy as np
 import pytest
 
 from repro.distributed.comm import CommCostModel
-from repro.distributed.rank import RankSimulator, merge_spectra, partition_reads
+from repro.distributed.procrank import distributed_count_proc
+from repro.distributed.rank import merge_spectra, owner_of_words, partition_reads
 from repro.pipeline.kmer_counts import count_kmers
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 from repro.sequence.read import ReadBatch
@@ -52,22 +54,22 @@ class TestDistributedCounting:
         """THE distributed invariant: the merged spectrum equals the
         single-process one, for any rank count."""
         single = count_kmers(batch, 21, min_count=2)
-        sim = RankSimulator(n_ranks)
-        merged, stats = sim.distributed_count(batch, 21, min_count=2)
+        merged, stats, _ = distributed_count_proc(
+            batch, 21, n_ranks, min_count=2
+        )
         assert _spectra_equal(single, merged)
         assert stats.n_ranks == n_ranks
 
     def test_exchange_volume_grows_with_ranks(self, batch):
-        _, s1 = RankSimulator(1).distributed_count(batch, 21)
-        _, s8 = RankSimulator(8).distributed_count(batch, 21)
+        _, s1, _ = distributed_count_proc(batch, 21, 1)
+        _, s8, _ = distributed_count_proc(batch, 21, 8)
         assert s1.total_kmers_sent == 0
         assert s8.total_kmers_sent > 0
         assert s8.modelled_time_s > 0
 
     def test_owner_partition_is_total(self, batch):
-        sim = RankSimulator(5)
         spec = count_kmers(batch, 21)
-        owners = sim.owner_of(spec.words)
+        owners = owner_of_words(spec.words, 5)
         assert owners.min() >= 0 and owners.max() < 5
         # roughly balanced shards (hash partition)
         counts = np.bincount(owners, minlength=5)

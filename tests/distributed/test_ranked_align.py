@@ -2,7 +2,7 @@
 soundness, exchange accounting, and segment hygiene.
 
 The load-bearing invariant mirrors the k-mer exchange's: at every rank
-count (including the inproc fallback) :func:`repro.distributed.procrank.
+count (on either transport) :func:`repro.distributed.procrank.
 ranked_align` must return an :class:`~repro.pipeline.alignment.
 AlignmentResult` bit-identical to the single-process
 :func:`~repro.pipeline.alignment.align_reads` — alignments, counters and
@@ -128,10 +128,7 @@ class TestRankedAlign:
         _assert_same(ref, aln)
         assert report.n_ranks == n_ranks
         assert stats.n_ranks == n_ranks
-        if n_ranks == 1:
-            assert report.mode == "inproc"
-        elif procrank_available():
-            assert report.mode == "procrank"
+        assert report.mode == ("procrank" if procrank_available() else "inproc")
 
     def test_inproc_fallback_identical(self, workload, monkeypatch):
         contigs, reads = workload

@@ -80,6 +80,17 @@ def launch(ctx):
     p.start()
 '''
 
+NONDET_SPMD_RANK_FN = '''\
+import random
+
+
+def count_stage(reads, n_ranks):
+    def count_rank(comm):
+        return sample(reads, random.random())
+
+    return spmd(n_ranks, count_rank, fork=True)
+'''
+
 BARRIER_NO_ABORT = '''\
 def rank_body(barrier, rows):
     publish(rows)
@@ -170,6 +181,7 @@ class TestSeededBugs:
             (UNRELEASED_CLAIM, "claim-lifecycle", "finally"),
             (LOCK_ACROSS_FORK, "lock-across-fork", "deadlock"),
             (NONDET_RANK_WORKER, "rank-nondeterminism", "random"),
+            (NONDET_SPMD_RANK_FN, "rank-nondeterminism", "count_rank"),
             (BARRIER_NO_ABORT, "barrier-abort", "abort"),
             (BARRIER_NO_TIMEOUT, "barrier-abort", "timeout"),
         ],
@@ -180,6 +192,7 @@ class TestSeededBugs:
             "unreleased-claim",
             "lock-across-fork",
             "nondet-rank-worker",
+            "nondet-spmd-rank-fn",
             "barrier-no-abort",
             "barrier-no-timeout",
         ],

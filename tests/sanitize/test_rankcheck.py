@@ -228,17 +228,15 @@ class TestExchangeIntegration:
         assert san["errors"] == []
         assert "sanitizer" in report.to_dict()
 
-    def test_injected_cross_rank_write_is_detected(self, batch):
+    def test_injected_cross_rank_write_is_detected(self, batch, monkeypatch):
         import repro.distributed.procrank as pr
+        import repro.distributed.spmd as spmd
 
         ref, _, _ = pr.distributed_count_proc(batch, 21, 2, min_count=2)
-        pr._INJECT_RACE = True
-        try:
-            spec, _, report = pr.distributed_count_proc(
-                batch, 21, 2, min_count=2, sanitize="rankcheck"
-            )
-        finally:
-            pr._INJECT_RACE = False
+        monkeypatch.setattr(spmd, "_INJECT_RACE", True)
+        spec, _, report = pr.distributed_count_proc(
+            batch, 21, 2, min_count=2, sanitize="rankcheck"
+        )
         san = report.sanitizer
         assert san["n_errors"] >= 1
         kinds = {e["kind"] for e in san["errors"]}
@@ -264,12 +262,12 @@ class TestExchangeIntegration:
         with pytest.raises(ValueError, match="sanitize"):
             pr.distributed_count_proc(batch, 21, 2, sanitize="racecheck")
 
-    def test_inproc_fallback_reports_trivially_clean(self, batch):
-        from repro.distributed.comm import CommCostModel
-        from repro.distributed.procrank import _distributed_count_inproc
+    def test_inproc_fallback_reports_trivially_clean(self, batch, monkeypatch):
+        import repro.distributed.procrank as pr
 
-        _, _, report = _distributed_count_inproc(
-            batch, 21, 2, 2, 0, False, CommCostModel(), sanitize="rankcheck"
+        monkeypatch.setattr(pr, "procrank_available", lambda: False)
+        _, _, report = pr.distributed_count_proc(
+            batch, 21, 2, min_count=2, sanitize="rankcheck"
         )
         assert report.mode == "inproc"
         assert report.sanitizer is not None
