@@ -10,7 +10,7 @@ Public entry points:
 """
 
 from repro.core.binning import ContigBins, bin_contigs, bin_distribution
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import GpuDriverConfig, LocalAssemblyConfig
 from repro.core.cpu_local_assembly import (
     CpuAssemblyStats,
     TaskResult,
@@ -57,6 +57,7 @@ __all__ = [
     "ContigBins",
     "bin_contigs",
     "bin_distribution",
+    "GpuDriverConfig",
     "LocalAssemblyConfig",
     "CpuAssemblyStats",
     "TaskResult",

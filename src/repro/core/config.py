@@ -7,13 +7,21 @@ The defaults mirror the constants the paper states or implies:
 * candidate reads per contig end are capped at 3000 (§3.1);
 * mer-walks run at most ~300 steps ("a DNA walk can be up to 300 steps
   long", §4.2).
+
+:class:`GpuDriverConfig` holds the knobs of the simulated-GPU driver
+(kernel variant, warp engine, sanitizer, overlap, batching); it is built
+once at the edge (CLI, job spec, :class:`~repro.pipeline.pipeline.
+PipelineConfig`) and passed whole down to the driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LocalAssemblyConfig"]
+__all__ = ["GpuDriverConfig", "KERNEL_VERSIONS", "LocalAssemblyConfig"]
+
+#: extension-kernel variants the GPU driver can launch.
+KERNEL_VERSIONS = ("v1", "v2")
 
 
 @dataclass(frozen=True)
@@ -68,3 +76,83 @@ class LocalAssemblyConfig:
             raise ValueError("max_walk_len must be >= 1")
         if self.dominance_ratio < 1.0:
             raise ValueError("dominance_ratio must be >= 1.0")
+
+
+@dataclass(frozen=True)
+class GpuDriverConfig:
+    """Knobs of the simulated-GPU local-assembly driver.
+
+    None of them changes the extensions: every combination is
+    bit-identical to the CPU reference.  They change how the work is
+    executed and what is measured.
+
+    Attributes
+    ----------
+    kernel_version:
+        ``"v2"`` — the paper's warp-cooperative kernel (default) — or
+        ``"v1"`` — the thread-per-table baseline of the §4.2 roofline
+        comparison.
+    engine:
+        Warp execution mode (:data:`repro.gpusim.ENGINE_MODES`):
+        ``"auto"`` (the batched SoA engine), ``"sequential"`` or
+        ``"batched"``.  v1 has no batched twin and falls back to
+        sequential interpretation.
+    sanitize:
+        Dynamic checker mode (``"off"``, ``"memcheck"``, ``"racecheck"``,
+        ``"initcheck"`` or ``"full"``).  A sanitized run serialises the
+        overlapped pipeline and disables buffer arenas and fused
+        dispatch, so every allocation and launch stays attributable.
+    overlap:
+        ``"off"`` — the synchronous driver; ``"on"`` — the double-buffered
+        pipeline: the stager packs batch N+1 while the engine executes
+        batch N, and transfers overlap kernels on the modelled timeline.
+    prefetch:
+        Batches the stager may run ahead of the engine.  The device
+        memory budget is split ``prefetch + 1`` ways; on the batched
+        engine each wave of up to ``prefetch + 1`` same-bin batches
+        dispatches as one fused SoA sweep.
+    streams:
+        Copy streams batches round-robin across (one compute stream).
+    batch_cap:
+        Optional cap on tasks per batch, applied on top of the
+        memory-budget batching in both overlap modes.
+    mem_budget:
+        Optional device-memory budget in bytes, capped at the device's
+        global memory.  The job service sets it per tenant.
+    profile_host:
+        Record per-phase host wall-clock timings
+        (:class:`~repro.perf.HostProfiler`) on the GPU report.
+    """
+
+    kernel_version: str = "v2"
+    engine: str = "auto"
+    sanitize: str = "off"
+    overlap: str = "off"
+    prefetch: int = 1
+    streams: int = 2
+    batch_cap: int | None = None
+    mem_budget: int | None = None
+    profile_host: bool = False
+
+    def __post_init__(self) -> None:
+        from repro.gpusim.kernel import ENGINE_MODES, OVERLAP_MODES
+        from repro.sanitize import SANITIZE_MODES
+
+        for name, allowed in (
+            ("kernel_version", KERNEL_VERSIONS),
+            ("engine", ENGINE_MODES),
+            ("sanitize", SANITIZE_MODES),
+            ("overlap", OVERLAP_MODES),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {allowed}, got {value!r}"
+                )
+        for name in ("prefetch", "streams"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("batch_cap", "mem_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1 (or None)")

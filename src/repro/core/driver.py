@@ -49,12 +49,12 @@ import queue
 import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.binning import ContigBins, bin_contigs
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import GpuDriverConfig, LocalAssemblyConfig
 from repro.core.extension_kernel import (
     extension_task_kernel_v1,
     extension_task_kernel_v2,
@@ -74,17 +74,13 @@ from repro.core.tasks import TaskSet
 from repro.gpusim.batched import batched_impl
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import V100, DeviceSpec
-from repro.gpusim.kernel import (
-    ENGINE_MODES,
-    OVERLAP_MODES,
-    GpuContext,
-    LaunchResult,
-)
+from repro.gpusim.kernel import GpuContext, LaunchResult
 from repro.perf import HostProfiler
 from repro.sequence.dna import decode
 
 __all__ = ["GpuLocalAssemblyReport", "GpuLocalAssembler", "shutdown_stager"]
 
+#: one entry per :data:`~repro.core.config.KERNEL_VERSIONS` value.
 _KERNELS = {
     "v1": extension_task_kernel_v1,
     "v2": extension_task_kernel_v2,
@@ -209,106 +205,26 @@ class GpuLocalAssembler:
         Algorithm tunables (shared with the CPU path).
     device:
         Simulated device spec (default V100, as on Summit).
-    kernel_version:
-        ``"v2"`` — the paper's warp-cooperative kernel (default) —
-        or ``"v1"`` — the thread-per-table development baseline used for
-        the §4.2 roofline comparison.
-    workers:
-        Worker processes for the pool warp-execution engine (only used
-        when ``engine="pool"`` is explicitly requested).
-    engine:
-        Warp execution mode: ``"auto"`` (the batched SoA engine — it is
-        7-22x faster than sequential interpretation on every measured
-        workload, see BENCH_engine.json), ``"sequential"``, ``"pool"``
-        (explicit request only; loses to IPC overhead on small boxes) or
-        ``"batched"``.  v1 kernels have no batched twin and fall back to
-        sequential interpretation.  All modes are bit-identical.
-    sanitize:
-        Dynamic checker mode (``"off"``, ``"memcheck"``, ``"racecheck"``,
-        ``"initcheck"`` or ``"full"``).  Anything but ``"off"`` attaches a
-        :class:`~repro.sanitize.Sanitizer` to the context and stores its
-        report on :attr:`GpuLocalAssemblyReport.sanitizer`.  A sanitized
-        run serialises the overlapped pipeline (shadow state is not
-        thread-safe) and disables buffer arenas + fused dispatch, so every
-        allocation and launch stays individually attributable.
-    overlap:
-        ``"off"`` (default) — the synchronous driver; ``"on"`` — the
-        double-buffered pipeline: the stager worker packs batch N+1 while
-        the engine executes batch N, transfers overlap kernels on the
-        modelled stream timeline.  Extensions are bit-identical either
-        way.
-    prefetch:
-        Staging depth of the overlapped pipeline: how many batches the
-        stager may run ahead of the engine.  The device memory budget is
-        split ``prefetch + 1`` ways so the modelled residency is honest;
-        on the batched engine, each wave of up to ``prefetch + 1``
-        same-bin batches dispatches as one fused SoA sweep.
-    streams:
-        Number of copy streams batches round-robin across (the compute
-        stream is always one — one device).
-    batch_cap:
-        Optional cap on tasks per batch (a batching quantum).  Applied on
-        top of the memory-budget batching in *both* overlap modes, so
-        serial and overlapped runs compare on identical batch schedules.
-    mem_budget:
-        Optional device-memory budget in bytes the driver batches under,
-        capped at the device's global memory.  The job service uses this
-        to enforce per-tenant memory budgets: a budgeted run packs fewer
-        tasks per batch instead of claiming the whole device.  Results
-        stay bit-identical; only the batch schedule changes.
-    profile_host:
-        Record per-phase host wall-clock timings
-        (:class:`~repro.perf.HostProfiler`) on
-        :attr:`GpuLocalAssemblyReport.host_profile`.
+    driver:
+        The driver knobs (:class:`~repro.core.config.GpuDriverConfig`),
+        passed whole by the upper layers.
+    **knobs:
+        Individual :class:`~repro.core.config.GpuDriverConfig` fields
+        (``kernel_version="v1"``, ``overlap="on"``, ...) overriding
+        *driver*; validated by the config.
     """
 
     def __init__(
         self,
         config: LocalAssemblyConfig | None = None,
         device: DeviceSpec = V100,
-        kernel_version: str = "v2",
-        workers: int = 1,
-        engine: str = "auto",
-        sanitize: str = "off",
-        overlap: str = "off",
-        prefetch: int = 1,
-        streams: int = 2,
-        batch_cap: int | None = None,
-        mem_budget: int | None = None,
-        profile_host: bool = False,
+        *,
+        driver: GpuDriverConfig | None = None,
+        **knobs,
     ) -> None:
-        if kernel_version not in _KERNELS:
-            raise ValueError(f"kernel_version must be one of {sorted(_KERNELS)}")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if engine not in ENGINE_MODES:
-            raise ValueError(f"engine must be one of {ENGINE_MODES}")
-        if overlap not in OVERLAP_MODES:
-            raise ValueError(f"overlap must be one of {OVERLAP_MODES}")
-        if prefetch < 1:
-            raise ValueError("prefetch must be >= 1")
-        if streams < 1:
-            raise ValueError("streams must be >= 1")
-        if batch_cap is not None and batch_cap < 1:
-            raise ValueError("batch_cap must be >= 1 (or None)")
-        if mem_budget is not None and mem_budget < 1:
-            raise ValueError("mem_budget must be >= 1 (or None)")
-        from repro.sanitize import SANITIZE_MODES
-
-        if sanitize not in SANITIZE_MODES:
-            raise ValueError(f"sanitize must be one of {SANITIZE_MODES}")
         self.config = config or LocalAssemblyConfig()
         self.device = device
-        self.kernel_version = kernel_version
-        self.workers = workers
-        self.engine = engine
-        self.sanitize = sanitize
-        self.overlap = overlap
-        self.prefetch = prefetch
-        self.streams = streams
-        self.batch_cap = batch_cap
-        self.mem_budget = mem_budget
-        self.profile_host = profile_host
+        self.driver = replace(driver or GpuDriverConfig(), **knobs)
 
     def run(self, tasks: TaskSet) -> GpuLocalAssemblyReport:
         """Extend every task; returns the report with all measurements."""
@@ -326,41 +242,38 @@ class GpuLocalAssembler:
                 extensions[(tasks[i].cid, tasks[i].side)] = ""
 
         # The sanitizer's shadow state is single-threaded: serialise.
-        overlap_on = self.overlap == "on" and self.sanitize == "off"
+        drv = self.driver
+        overlap_on = drv.overlap == "on" and drv.sanitize == "off"
         ctx = GpuContext(
             device=self.device,
-            workers=self.workers,
-            engine=self.engine,
-            sanitize=self.sanitize,
+            engine=drv.engine,
+            sanitize=drv.sanitize,
             overlap="on" if overlap_on else "off",
-            n_streams=self.streams,
+            n_streams=drv.streams,
         )
-        prof = HostProfiler(enabled=self.profile_host)
+        prof = HostProfiler(enabled=drv.profile_host)
         report = GpuLocalAssemblyReport(
             extensions=extensions,
             bins=bins,
             overlap="on" if overlap_on else "off",
-            host_profile=prof if self.profile_host else None,
+            host_profile=prof if drv.profile_host else None,
         )
 
-        try:
-            work = self._plan_work(tasks, bins, tasks_by_cid, overlap_on)
-            if overlap_on:
-                self._run_overlapped(ctx, work, extensions, report, prof)
-            else:
-                self._run_serial(ctx, work, extensions, report, prof)
+        work = self._plan_work(tasks, bins, tasks_by_cid, overlap_on)
+        if overlap_on:
+            self._run_overlapped(ctx, work, extensions, report, prof)
+        else:
+            self._run_serial(ctx, work, extensions, report, prof)
 
-            report.launches = list(ctx.launches)
-            report.transfer_time_s = ctx.transfer_time_s
-            report.transfer_bytes = ctx.transfer_bytes
-            report.h2d_bytes = ctx.h2d_bytes
-            report.d2h_bytes = ctx.d2h_bytes
-            report.high_water_bytes = ctx.allocator.high_water_bytes
-            report.critical_path_s = ctx.synchronize()
-            report.timeline = ctx.timeline
-            report.sanitizer = ctx.sanitizer_report()
-        finally:
-            ctx.close()
+        report.launches = list(ctx.launches)
+        report.transfer_time_s = ctx.transfer_time_s
+        report.transfer_bytes = ctx.transfer_bytes
+        report.h2d_bytes = ctx.h2d_bytes
+        report.d2h_bytes = ctx.d2h_bytes
+        report.high_water_bytes = ctx.allocator.high_water_bytes
+        report.critical_path_s = ctx.synchronize()
+        report.timeline = ctx.timeline
+        report.sanitizer = ctx.sanitizer_report()
         return report
 
     # -- batch planning ----------------------------------------------------------
@@ -379,9 +292,9 @@ class GpuLocalAssembler:
         overlap modes.
         """
         budget = self.device.global_mem_bytes
-        if self.mem_budget is not None:
-            budget = min(budget, self.mem_budget)
-        parts = self.prefetch + 1
+        if self.driver.mem_budget is not None:
+            budget = min(budget, self.driver.mem_budget)
+        parts = self.driver.prefetch + 1
         if overlap_on:
             budget //= parts
         work: list[tuple[str, list, str]] = []
@@ -390,8 +303,8 @@ class GpuLocalAssembler:
             if not bin_tasks:
                 continue
             planned = plan_batches(TaskListView(bin_tasks), budget)
-            if self.batch_cap is not None:
-                cap = self.batch_cap
+            if self.driver.batch_cap is not None:
+                cap = self.driver.batch_cap
                 planned = [
                     ids[a : a + cap]
                     for ids in planned
@@ -408,7 +321,7 @@ class GpuLocalAssembler:
     def _n_warps(self, n_tasks: int) -> int:
         # v2: one warp per task; v1 (thread-per-table): one warp carries
         # 32 tasks, one per lane.
-        if self.kernel_version == "v1":
+        if self.driver.kernel_version == "v1":
             return (n_tasks + 31) // 32
         return n_tasks
 
@@ -423,7 +336,7 @@ class GpuLocalAssembler:
         sanitized runs keep the reset-per-batch allocator discipline so
         every allocation stays individually attributable.
         """
-        kernel = _KERNELS[self.kernel_version]
+        kernel = _KERNELS[self.driver.kernel_version]
         compute = ctx.stream("compute")
         darena = DeviceArena(ctx) if ctx.sanitizer is None else None
         sarena = StagingArena() if ctx.sanitizer is None else None
@@ -440,7 +353,7 @@ class GpuLocalAssembler:
                 )
             with prof.phase("dispatch", label):
                 _, ev_kernel = ctx.launch_async(
-                    f"extension_{bin_name}_{self.kernel_version}",
+                    f"extension_{bin_name}_{self.driver.kernel_version}",
                     kernel,
                     self._n_warps(len(batch_tasks)),
                     batch,
@@ -448,7 +361,7 @@ class GpuLocalAssembler:
                     stream=compute,
                     deps=(ev_h2d,),
                     bin_name=bin_name,
-                    kernel_version=self.kernel_version,
+                    kernel_version=self.driver.kernel_version,
                 )
             with prof.phase("unpack", label):
                 self._unpack(ctx, batch, staged, extensions, copy, ev_kernel, label)
@@ -465,12 +378,12 @@ class GpuLocalAssembler:
         on streams.  On the batched engine, each wave of up to
         ``prefetch + 1`` same-bin batches runs as one fused SoA sweep."""
         cfg = self.config
-        staged_q: queue.Queue = queue.Queue(maxsize=self.prefetch)
+        staged_q: queue.Queue = queue.Queue(maxsize=self.driver.prefetch)
         stop = threading.Event()
         # Staging-arena ring: an item's big arrays must survive from the
         # stager (≤ queue + 1 in flight) through the consumer's wave
         # buffer (≤ prefetch + 1 held) until fused/uploaded.
-        arenas = [StagingArena() for _ in range(2 * self.prefetch + 3)]
+        arenas = [StagingArena() for _ in range(2 * self.driver.prefetch + 3)]
 
         def stage_all() -> None:
             try:
@@ -487,7 +400,7 @@ class GpuLocalAssembler:
                 staged_q.put(exc)
 
         future = _stager_executor().submit(stage_all)
-        kernel = _KERNELS[self.kernel_version]
+        kernel = _KERNELS[self.driver.kernel_version]
         compute = ctx.stream("compute")
         darena = DeviceArena(ctx) if ctx.sanitizer is None else None
         # Fused dispatch needs the batched engine (and its BatchCounters
@@ -497,7 +410,7 @@ class GpuLocalAssembler:
             and ctx.engine_mode == "batched"
             and batched_impl(kernel) is not None
         )
-        waves = _plan_waves(work, self.prefetch + 1 if fused_ok else 1)
+        waves = _plan_waves(work, self.driver.prefetch + 1 if fused_ok else 1)
         b = 0
 
         def next_staged():
@@ -520,7 +433,7 @@ class GpuLocalAssembler:
                         )
                     with prof.phase("dispatch", label):
                         _, ev_kernel = ctx.launch_async(
-                            f"extension_{bin_name}_{self.kernel_version}",
+                            f"extension_{bin_name}_{self.driver.kernel_version}",
                             kernel,
                             self._n_warps(len(work[rows[0]][1])),
                             batch,
@@ -528,7 +441,7 @@ class GpuLocalAssembler:
                             stream=compute,
                             deps=(ev_h2d,),
                             bin_name=bin_name,
-                            kernel_version=self.kernel_version,
+                            kernel_version=self.driver.kernel_version,
                         )
                     with prof.phase("unpack", label):
                         self._unpack(
@@ -550,13 +463,13 @@ class GpuLocalAssembler:
                     sub_warps = [len(work[r][1]) for r in rows]
                     with prof.phase("dispatch", wave_label):
                         results = ctx.launch_fused(
-                            f"extension_{bin_name}_{self.kernel_version}",
+                            f"extension_{bin_name}_{self.driver.kernel_version}",
                             kernel,
                             sub_warps,
                             batch,
                             np.arange(batch.n_tasks),
                             bin_name=bin_name,
-                            kernel_version=self.kernel_version,
+                            kernel_version=self.driver.kernel_version,
                         )
                     # Per-sub kernel + D2H ops keep the modelled timeline
                     # identical to the unfused schedule.

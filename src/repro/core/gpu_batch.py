@@ -173,35 +173,6 @@ class DeviceBatch:
     def task_reads(self, t: int) -> range:
         return range(int(self.task_read_start[t]), int(self.task_read_start[t + 1]))
 
-    # -- pickling (parallel engine) ------------------------------------------
-    #
-    # A batch crosses the process boundary once per launch when the warp
-    # engine shards it.  Device buffers travel by shared-memory segment
-    # name (see repro.gpusim.shmem), but ``tasks`` holds every candidate
-    # read array on the host side — kernels only ever consult
-    # ``tasks[t].n_reads``, so ship lightweight headers instead of the
-    # read data.
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["tasks"] = [_TaskHeader(t.cid, t.side, t.n_reads) for t in self.tasks]
-        # The window cache holds views into shared device buffers; shards
-        # rebuild their own entries on demand.
-        state["win_cache"] = LRUDict()
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-
-
-@dataclass(frozen=True)
-class _TaskHeader:
-    """What a kernel needs to know about a task (reads live on device)."""
-
-    cid: int
-    side: int
-    n_reads: int
-
 
 @dataclass
 class StagedBatch:
@@ -527,10 +498,8 @@ def upload_batch(
         quals_buf = ctx.to_device(staged.quals_host)
         seq_buf = ctx.to_device(staged.seq_host)
         done = None
-    # Kernels update the per-task length in place; allocate through the
-    # context so worker shards of a parallel launch see the writes too.
-    seq_len = ctx.host_array(len(tasks), np.int64)
-    seq_len[...] = staged.seq_len_host
+    # Kernels update the per-task length in place: give them a copy.
+    seq_len = np.array(staged.seq_len_host, dtype=np.int64)
     if arena is not None:
         ht_ptr = arena.alloc("ht_ptr", total_slots, np.int64)
         ht_hi = arena.alloc("ht_hi", total_slots * 4, np.uint32)

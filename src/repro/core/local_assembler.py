@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import GpuDriverConfig, LocalAssemblyConfig
 from repro.core.cpu_local_assembly import CpuAssemblyStats, run_local_assembly_cpu
 from repro.core.driver import GpuLocalAssembler, GpuLocalAssemblyReport
 from typing import TYPE_CHECKING
@@ -43,21 +43,13 @@ def extend_tasks(
     config: LocalAssemblyConfig | None = None,
     mode: str = "cpu",
     device: DeviceSpec = V100,
-    kernel_version: str = "v2",
-    workers: int = 1,
-    engine: str = "auto",
-    sanitize: str = "off",
-    overlap: str = "off",
-    prefetch: int = 1,
-    streams: int = 2,
-    batch_cap: int | None = None,
-    mem_budget: int | None = None,
-    profile_host: bool = False,
+    driver: GpuDriverConfig | None = None,
 ) -> tuple[dict[tuple[int, int], str], LocalAssemblyReport]:
     """Run local assembly over a prepared task set.
 
     Returns ``({(cid, side): extension}, report)``.  GPU and CPU modes
-    produce identical extensions by construction.
+    produce identical extensions by construction; *driver* configures the
+    GPU mode and is ignored by the CPU one.
     """
     config = config or LocalAssemblyConfig()
     t0 = time.perf_counter()
@@ -74,21 +66,7 @@ def extend_tasks(
         )
         return extensions, report
     if mode == "gpu":
-        assembler = GpuLocalAssembler(
-            config=config,
-            device=device,
-            kernel_version=kernel_version,
-            workers=workers,
-            engine=engine,
-            sanitize=sanitize,
-            overlap=overlap,
-            prefetch=prefetch,
-            streams=streams,
-            batch_cap=batch_cap,
-            mem_budget=mem_budget,
-            profile_host=profile_host,
-        )
-        gpu = assembler.run(tasks)
+        gpu = GpuLocalAssembler(config, device, driver=driver).run(tasks)
         wall = time.perf_counter() - t0
         report = LocalAssemblyReport(
             mode="gpu",
@@ -108,16 +86,7 @@ def extend_contigs(
     config: LocalAssemblyConfig | None = None,
     mode: str = "cpu",
     device: DeviceSpec = V100,
-    kernel_version: str = "v2",
-    workers: int = 1,
-    engine: str = "auto",
-    sanitize: str = "off",
-    overlap: str = "off",
-    prefetch: int = 1,
-    streams: int = 2,
-    batch_cap: int | None = None,
-    mem_budget: int | None = None,
-    profile_host: bool = False,
+    driver: GpuDriverConfig | None = None,
 ) -> tuple["ContigSet", LocalAssemblyReport]:
     """Extend a contig set using per-contig candidate reads.
 
@@ -136,16 +105,7 @@ def extend_contigs(
         config=config,
         mode=mode,
         device=device,
-        kernel_version=kernel_version,
-        workers=workers,
-        engine=engine,
-        sanitize=sanitize,
-        overlap=overlap,
-        prefetch=prefetch,
-        streams=streams,
-        batch_cap=batch_cap,
-        mem_budget=mem_budget,
-        profile_host=profile_host,
+        driver=driver,
     )
     final = apply_extensions(contig_seqs, extensions)
     out = ContigSet(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import GpuDriverConfig, LocalAssemblyConfig
 from repro.core.driver import GpuLocalAssembler, GpuLocalAssemblyReport
 from repro.core.ht_sizing import table_slots
 from repro.core.tasks import TaskSet
@@ -97,32 +97,14 @@ class NodeLocalAssembler:
         config: LocalAssemblyConfig | None = None,
         n_gpus: int = 6,
         device: DeviceSpec = V100,
-        kernel_version: str = "v2",
-        workers: int = 1,
-        engine: str = "auto",
-        sanitize: str = "off",
-        overlap: str = "off",
-        prefetch: int = 1,
-        streams: int = 2,
-        batch_cap: int | None = None,
-        mem_budget: int | None = None,
-        profile_host: bool = False,
+        driver: GpuDriverConfig | None = None,
     ) -> None:
         if n_gpus < 1:
             raise ValueError("need at least one GPU")
         self.config = config or LocalAssemblyConfig()
         self.n_gpus = n_gpus
         self.device = device
-        self.kernel_version = kernel_version
-        self.workers = workers
-        self.engine = engine
-        self.sanitize = sanitize
-        self.overlap = overlap
-        self.prefetch = prefetch
-        self.streams = streams
-        self.batch_cap = batch_cap
-        self.mem_budget = mem_budget
-        self.profile_host = profile_host
+        self.driver = driver
 
     def run(self, tasks: TaskSet) -> NodeLocalAssemblyReport:
         groups = partition_tasks_by_work(tasks, self.n_gpus)
@@ -130,18 +112,7 @@ class NodeLocalAssembler:
         per_gpu: list[GpuLocalAssemblyReport] = []
         for group in groups:
             assembler = GpuLocalAssembler(
-                config=self.config,
-                device=self.device,
-                kernel_version=self.kernel_version,
-                workers=self.workers,
-                engine=self.engine,
-                sanitize=self.sanitize,
-                overlap=self.overlap,
-                prefetch=self.prefetch,
-                streams=self.streams,
-                batch_cap=self.batch_cap,
-                mem_budget=self.mem_budget,
-                profile_host=self.profile_host,
+                self.config, self.device, driver=self.driver
             )
             report = assembler.run(TaskSet([tasks[i] for i in group]))
             extensions.update(report.extensions)

@@ -358,6 +358,8 @@ def ranked_extend_tasks(
     Extension keys ``(cid, side)`` are unique per task, so the merged
     dict is independent of the partition — bit-identical to a
     single-rank run by construction, which the fig13 bench asserts.
+    *extend_kwargs* (``config``, ``mode``, ``driver``, ...) reach
+    :func:`~repro.core.local_assembler.extend_tasks` unchanged.
     """
     from repro.core.local_assembler import extend_tasks
     from repro.core.tasks import TaskSet

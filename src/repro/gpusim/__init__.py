@@ -16,13 +16,6 @@ from repro.gpusim.batched import (
 )
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import V100, WARP_SIZE, DeviceSpec
-from repro.gpusim.engine import (
-    WarpEngine,
-    default_workers,
-    plan_shards,
-    shard_ranges,
-    shutdown_shared_pools,
-)
 from repro.gpusim.kernel import (
     ENGINE_MODES,
     OVERLAP_MODES,
@@ -65,11 +58,6 @@ __all__ = [
     "TimingModel",
     "KernelTiming",
     "Warp",
-    "WarpEngine",
-    "default_workers",
-    "shard_ranges",
-    "plan_shards",
-    "shutdown_shared_pools",
     "ENGINE_MODES",
     "OVERLAP_MODES",
     "Event",

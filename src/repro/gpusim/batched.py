@@ -23,8 +23,7 @@ Correctness contract (pinned by the differential tests and the
   warps yields identical memory contents.  Lanes *within* a warp that hit
   the same address serialise in ascending lane order, exactly like
   :class:`~repro.gpusim.warp.Warp`'s atomics.  Kernels with cross-warp
-  write overlap are not batchable (same restriction as the process-pool
-  engine).
+  write overlap are not batchable.
 
 Batched kernel implementations register themselves against the sequential
 kernel function via :func:`register_batched`;

@@ -1,17 +1,16 @@
 """Kernel launching on the simulated device.
 
 A kernel is a Python callable ``fn(warp, warp_id, *args)``; a *launch* runs
-it once per warp.  Warps execute either sequentially in-process or — when
-the context is created with ``workers > 1`` — sharded across the parallel
-execution engine (:mod:`repro.gpusim.engine`).  Their results must be
-order-independent (guaranteed by the atomic-based kernel designs and
-checked by the differential tests), and the two execution modes produce
-bit-identical :class:`LaunchResult`\\ s: counters accumulate as if the
-warps ran concurrently either way, and the timing model then prices the
-launch.
+it once per warp.  Warps execute either one interpreter at a time or in
+lockstep on the batched SoA engine (:mod:`repro.gpusim.batched`).  Their
+results must be order-independent (guaranteed by the atomic-based kernel
+designs and checked by the differential tests), and the two execution
+modes produce bit-identical :class:`LaunchResult`\\ s: counters accumulate
+as if the warps ran concurrently either way, and the timing model then
+prices the launch.
 
-:class:`GpuContext` owns the device, its allocator, the worker engine and
-the log of launches, playing the role of a CUDA stream + profiler.
+:class:`GpuContext` owns the device, its allocator and the log of
+launches, playing the role of a CUDA stream + profiler.
 """
 
 from __future__ import annotations
@@ -35,11 +34,10 @@ KernelFn = Callable[..., None]
 
 #: valid ``GpuContext(engine=...)`` values.  ``"auto"`` resolves to
 #: ``"batched"`` — the SoA engine is 7-22x faster than the sequential
-#: interpreter on every measured workload (BENCH_engine.json), while the
-#: process pool loses to IPC overhead on small boxes, so the pool runs
-#: only on explicit request.  Kernels without a batched implementation
-#: (e.g. v1) fall back to sequential interpretation per launch.
-ENGINE_MODES = ("auto", "sequential", "pool", "batched")
+#: interpreter on every measured workload (BENCH_engine.json).  Kernels
+#: without a batched implementation (e.g. v1) fall back to sequential
+#: interpretation per launch.
+ENGINE_MODES = ("auto", "sequential", "batched")
 
 #: valid ``GpuContext(overlap=...)`` values: ``"on"`` lets ops on
 #: different streams overlap on the modelled timeline, ``"off"``
@@ -87,30 +85,23 @@ class LaunchResult:
 
 @dataclass
 class GpuContext:
-    """A simulated GPU: device spec, allocator, worker engine, launch log.
+    """A simulated GPU: device spec, allocator, launch log.
 
     The ``engine`` field picks how a launch's warps are executed; all modes
     produce bit-identical :class:`LaunchResult`\\ s:
 
-    * ``"sequential"`` — one :class:`Warp` interpreter per warp, in-process;
-    * ``"pool"`` — warps sharded across a persistent process pool; device
-      arrays are backed by shared memory.  Kernels must keep cross-warp
-      state disjoint (the paper's all do — per-task table regions);
+    * ``"sequential"`` — one :class:`Warp` interpreter per warp;
     * ``"batched"`` — the SoA engine (:mod:`repro.gpusim.batched`): all
       warps advance in lockstep through vectorised kernel steps.  Kernels
       without a registered batched implementation fall back to sequential;
-    * ``"auto"`` (default) — ``"batched"``: the SoA engine dominates the
-      alternatives (BENCH_engine.json: 7-22x vs. sequential, pool at
-      0.67-0.79x), so the pool only runs when explicitly requested.
+    * ``"auto"`` (default) — ``"batched"``: the SoA engine is 7-22x
+      faster than sequential (BENCH_engine.json).
 
     The context also owns a :class:`~repro.gpusim.streams.StreamTimeline`
     and the CUDA-style async API (:meth:`to_device_async`,
     :meth:`launch_async`, :meth:`from_device_async`): ops placed on
     different streams may overlap on the modelled clock when
     ``overlap="on"``, and serialise globally when ``overlap="off"``.
-
-    Call :meth:`close` (or use the context manager form) when done to
-    release the pool and unlink shared segments.
     """
 
     device: DeviceSpec = V100
@@ -121,7 +112,6 @@ class GpuContext:
     transfer_time_s: float = 0.0
     h2d_bytes: int = 0
     d2h_bytes: int = 0
-    workers: int = 1
     engine_mode: str = field(default="auto", init=False)
     engine: str = "auto"
     sanitize: str = "off"
@@ -129,11 +119,8 @@ class GpuContext:
     n_streams: int = 2
     timeline: StreamTimeline = field(default=None, repr=False)  # type: ignore[assignment]
     sanitizer: "object" = field(default=None, init=False, repr=False)
-    _engine: "object" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.engine not in ENGINE_MODES:
             raise ValueError(
                 f"engine must be one of {ENGINE_MODES}, got {self.engine!r}"
@@ -157,15 +144,7 @@ class GpuContext:
                 )
             self.sanitizer = Sanitizer(self.sanitize)
         if self.allocator is None:
-            # Only the process pool needs shared-memory-backed arrays; a
-            # sanitized context never uses the pool (see _parallel), so it
-            # never needs shared segments either.
-            self.allocator = DeviceAllocator(
-                self.device.global_mem_bytes,
-                shared=self.engine_mode == "pool"
-                and self.workers > 1
-                and self.sanitizer is None,
-            )
+            self.allocator = DeviceAllocator(self.device.global_mem_bytes)
         if self.sanitizer is not None:
             self.allocator.sanitizer = self.sanitizer
         if self.timing_model is None:
@@ -175,10 +154,6 @@ class GpuContext:
 
     def alloc(self, shape, dtype) -> DeviceArray:
         return self.allocator.alloc(shape, dtype)
-
-    def host_array(self, shape, dtype) -> np.ndarray:
-        """Host scratch that kernel shards can mutate (shared when parallel)."""
-        return self.allocator.host_array(shape, dtype)
 
     def to_device(self, host_array) -> DeviceArray:
         """Copy host data in, accounting for transfer time."""
@@ -318,22 +293,6 @@ class GpuContext:
 
     # -- launching ----------------------------------------------------------------
 
-    def _parallel(self, n_warps: int) -> bool:
-        """Use the pool?  Needs pool mode, >1 workers/warps, shared buffers.
-
-        Sanitized launches never use the pool: the shadow state cannot be
-        shared across processes, so a sanitizer serialises pool-mode
-        execution in-process (the same slowdown-for-visibility trade
-        compute-sanitizer makes on real hardware).
-        """
-        return (
-            self.engine_mode == "pool"
-            and self.workers > 1
-            and n_warps > 1
-            and self.sanitizer is None
-            and getattr(self.allocator, "shared", False)
-        )
-
     def launch(
         self,
         name: str,
@@ -371,12 +330,6 @@ class GpuContext:
             # impls return BatchCounters (or, legacy, a finalized tuple)
             counters, per_warp = ret if isinstance(ret, tuple) else ret.finalize()
             counters.n_warps_launched = n_warps
-        elif self._parallel(n_warps):
-            for shard_counters, shard_per_warp in self.warp_engine.run(
-                kernel_fn, n_warps, self.device.sector_bytes, args
-            ):
-                counters.merge(shard_counters)
-                per_warp.extend(shard_per_warp)
         else:
             for warp_id in range(n_warps):
                 before = counters.warp_inst
@@ -467,25 +420,11 @@ class GpuContext:
             lo = hi
         return results
 
-    # -- engine lifecycle --------------------------------------------------------
-
-    @property
-    def warp_engine(self):
-        """The lazily-created warp engine (pool-mode contexts only)."""
-        if self._engine is None:
-            from repro.gpusim.engine import WarpEngine
-
-            self._engine = WarpEngine(self.workers)
-        return self._engine
+    # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the worker pool and unlink shared segments."""
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
-        release = getattr(self.allocator, "release_shared", None)
-        if release is not None:
-            release()
+        """No-op: a context holds no OS resources.  Kept so a context
+        works as a context manager, like a CUDA stream scope."""
 
     def __enter__(self) -> "GpuContext":
         return self

@@ -73,24 +73,15 @@ class DeviceAllocator:
     capacity but never reuses addresses (addresses only matter for sector
     counting, so monotonically increasing bases are fine and keep arrays
     from ever aliasing).
-
-    With ``shared=True`` every allocation is backed by a
-    ``multiprocessing.shared_memory`` segment (see
-    :mod:`repro.gpusim.shmem`), so the parallel execution engine's worker
-    shards mutate the *same* device memory as the parent process.  The
-    allocator owns those segments: ``free``/``reset``/``release_shared``
-    unlink them, and a finalizer unlinks whatever is left at GC so no
-    segment outlives the process.
     """
 
     #: allocation granularity; CUDA's cudaMalloc aligns to 256 bytes.
     ALIGN = 256
 
-    def __init__(self, capacity_bytes: int, shared: bool = False) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_bytes = int(capacity_bytes)
-        self.shared = bool(shared)
         self.bytes_in_use = 0
         self.high_water_bytes = 0
         self._next_addr = 0
@@ -99,30 +90,12 @@ class DeviceAllocator:
         self._live: dict[int, DeviceArray] = {}
         #: optional repro.sanitize.Sanitizer receiving alloc/free events.
         self.sanitizer = None
-        self._segments: list = []
-        if self.shared:
-            import weakref
-
-            # Unlink on GC even if the owner forgets release_shared().
-            weakref.finalize(self, _unlink_all, self._segments)
-
-    def _new_array(self, shape, dtype) -> np.ndarray:
-        if not self.shared:
-            return np.zeros(shape, dtype=dtype)
-        from repro.gpusim import shmem
-
-        arr = shmem.create_shared_array(shape, dtype)
-        self._segments.append(arr)
-        return arr
 
     def alloc(self, shape, dtype) -> DeviceArray:
         """Allocate a zero-initialised device array."""
-        arr = self._new_array(shape, dtype)
+        arr = np.zeros(shape, dtype=dtype)
         padded = (arr.nbytes + self.ALIGN - 1) // self.ALIGN * self.ALIGN
         if self.bytes_in_use + padded > self.capacity_bytes:
-            if self.shared:
-                arr.unlink()
-                self._segments.remove(arr)
             raise DeviceOutOfMemory(
                 f"allocation of {arr.nbytes} bytes exceeds device memory: "
                 f"{self.bytes_in_use}/{self.capacity_bytes} in use"
@@ -137,17 +110,6 @@ class DeviceAllocator:
         if self.sanitizer is not None:
             self.sanitizer.on_alloc(darr)
         return darr
-
-    def host_array(self, shape, dtype) -> np.ndarray:
-        """A host-side scratch array workers can also mutate.
-
-        Shared-mode contexts return a shared-memory array (pickles by
-        segment name, like device buffers); sequential contexts return a
-        plain zeroed ndarray.  Host arrays do not count against device
-        capacity — they model pinned host metadata (e.g. per-task sequence
-        lengths), not device allocations.
-        """
-        return self._new_array(shape, dtype)
 
     def to_device(self, host_array: np.ndarray) -> DeviceArray:
         """Copy a host array to the device (counts toward capacity)."""
@@ -181,12 +143,6 @@ class DeviceAllocator:
         del self._live[darr.base_addr]
         if self.sanitizer is not None:
             self.sanitizer.on_free(darr)
-        if self.shared and getattr(darr.data, "_shm_root", False):
-            darr.data.unlink()
-            try:
-                self._segments.remove(darr.data)
-            except ValueError:
-                pass
 
     def reset(self) -> None:
         """Free everything (between kernel batches).
@@ -202,16 +158,6 @@ class DeviceAllocator:
         self._live.clear()
         if self.sanitizer is not None:
             self.sanitizer.on_reset()
-        self.release_shared()
-
-    def release_shared(self) -> None:
-        """Unlink every live shared segment (owner side)."""
-        _unlink_all(self._segments)
-
-
-def _unlink_all(segments: list) -> None:
-    while segments:
-        segments.pop().unlink()
 
 
 def count_sectors(addresses: np.ndarray, itemsize: int, sector_bytes: int = 32) -> int:

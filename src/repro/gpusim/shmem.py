@@ -1,25 +1,22 @@
-"""Shared-memory-backed NumPy arrays for the parallel warp engine.
+"""Shared-memory-backed NumPy arrays for the SPMD rank runtime.
 
-The execution engine (:mod:`repro.gpusim.engine`) shards a kernel launch's
-warps across worker processes.  Warps mutate device memory in place, so the
-backing store of every :class:`~repro.gpusim.memory.DeviceArray` must be
-*the same pages* in every process — otherwise each shard would mutate a
-private copy and the launch result would be lost.
+The rank runtime (:mod:`repro.distributed.spmd`) forks one process per
+rank.  Ranks exchange data through ``multiprocessing.shared_memory``
+segments: the parent's shared counts/sizes/metrics/status arrays, which
+children inherit through fork, and per-launch *named* segments
+(``repro-<token>-out<r>``) that rank *r* publishes and every peer
+attaches by the same constructed name.
 
-A :class:`SharedNDArray` is an ``ndarray`` whose buffer lives in a
-``multiprocessing.shared_memory`` segment and which pickles *by segment
-name*: unpickling in a worker attaches to the existing segment instead of
-copying bytes.  Sending a packed batch to a shard therefore costs a few
-hundred bytes of metadata per array, never the array contents.
+A :class:`SharedNDArray` is an ``ndarray`` whose buffer lives in such a
+segment.  Lifecycle rules:
 
-Lifecycle rules (enforced by :class:`repro.gpusim.memory.DeviceAllocator`):
-
-* the creating process owns the segment and is the only one to ``unlink``;
-* workers attach on unpickle and drop the mapping with ordinary GC — the
-  attachment is explicitly *deregistered* from the resource tracker so a
-  worker's exit can never tear down a segment the parent still uses;
+* the creating side owns the segment and is the only one to ``unlink``
+  (named segments are registered under their launch token and unlinked
+  by :func:`cleanup_launch_segments`);
+* attachments are kept out of the resource tracker, so a rank's exit can
+  never tear down a segment its peers or the parent still read;
 * ``unlink`` only removes the name; mappings stay valid until released, so
-  a late-collected view in a worker is harmless.
+  a late-collected view in a rank is harmless.
 """
 
 from __future__ import annotations
@@ -66,9 +63,9 @@ def _untracked():
     """Suppress resource-tracker registration while attaching a segment.
 
     Python's resource tracker unlinks every segment a process registered
-    when that process's tracker shuts down.  Attachments in pool workers
+    when that process's tracker shuts down.  Attachments in rank processes
     must not count as ownership — only the creating process may unlink.
-    Un-registering *after* the attach is wrong under fork (workers share
+    Un-registering *after* the attach is wrong under fork (children share
     the parent's tracker, so the message would strip the parent's own
     registration); suppressing the registration instead is side-effect
     free in both fork and spawn (the canonical workaround until
@@ -95,12 +92,11 @@ def _untracked():
 
 
 class SharedNDArray(np.ndarray):
-    """An ndarray over a shared-memory segment, picklable by name.
+    """An ndarray over a shared-memory segment.
 
-    Only the *root* array (the one returned by :func:`create_shared_array`
-    or :func:`attach_shared_array`) pickles by segment name; views derived
-    from it fall back to ordinary by-value pickling, which is the safe
-    default for the short-lived temporaries kernels create.
+    Only the *root* array (the one returned by :func:`create_shared_array`,
+    :func:`attach_shared_array` or :func:`create_named_shared_array`) owns
+    the segment handle; views derived from it keep the mapping alive.
     """
 
     _shm = None  # keeps the mapping alive for all derived views
@@ -110,14 +106,6 @@ class SharedNDArray(np.ndarray):
         if obj is not None:
             self._shm = getattr(obj, "_shm", None)
             self._shm_root = False
-
-    def __reduce__(self):
-        if self._shm_root and self._shm is not None:
-            return (
-                attach_shared_array,
-                (self._shm.name, self.shape, self.dtype.str),
-            )
-        return super().__reduce__()
 
     # -- segment management (root arrays only) ------------------------------
 
@@ -170,7 +158,7 @@ def create_shared_array(shape, dtype) -> SharedNDArray:
 
 
 def attach_shared_array(name: str, shape, dtype) -> SharedNDArray:
-    """Attach to an existing segment (worker side / unpickle hook)."""
+    """Attach to an existing segment by name (peer side)."""
     if _shm_mod is None:  # pragma: no cover
         raise RuntimeError("multiprocessing.shared_memory is unavailable")
     with _untracked():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import GpuDriverConfig, LocalAssemblyConfig
 from repro.core.local_assembler import LocalAssemblyReport, extend_contigs
 from repro.pipeline.alignment import AlignmentResult, align_reads
 from repro.pipeline.contigs import ContigSet
@@ -66,30 +66,8 @@ class PipelineConfig:
     # local assembly
     local_assembly: LocalAssemblyConfig = field(default_factory=LocalAssemblyConfig)
     local_assembly_mode: str = "cpu"  # "cpu" | "gpu"
-    gpu_kernel_version: str = "v2"
-    #: worker processes for the GPU simulator's parallel warp engine
-    local_assembly_workers: int = 1
-    #: warp execution engine ("auto" | "sequential" | "pool" | "batched")
-    local_assembly_engine: str = "auto"
-    #: dynamic checker mode ("off" | "memcheck" | "racecheck" |
-    #: "initcheck" | "full") for the GPU local-assembly stage
-    local_assembly_sanitize: str = "off"
-    #: overlapped (double-buffered) GPU driver ("off" | "on"): stage
-    #: batch N+1 while batch N executes, transfers overlap kernels
-    local_assembly_overlap: str = "off"
-    #: staging depth of the overlapped driver (batches the stager may
-    #: run ahead)
-    local_assembly_prefetch: int = 1
-    #: copy streams the overlapped driver round-robins batches across
-    local_assembly_streams: int = 2
-    #: optional cap on tasks per GPU batch (None = memory-budget batching)
-    local_assembly_batch_cap: int | None = None
-    #: optional device-memory budget in bytes the GPU driver batches
-    #: under (None = the device's full global memory); the job service
-    #: sets this to enforce per-tenant memory budgets
-    local_assembly_mem_budget: int | None = None
-    #: record per-phase host wall-clock timings on the GPU report
-    local_assembly_profile_host: bool = False
+    #: simulated-GPU driver knobs, used when local_assembly_mode is "gpu"
+    gpu: GpuDriverConfig = field(default_factory=GpuDriverConfig)
     # scaffolding
     insert_mean: float = 350.0
     #: estimate the insert size from same-contig pairs (MHM2 behaviour);
@@ -115,38 +93,6 @@ class PipelineConfig:
             raise ValueError(
                 f"kmer_sanitize must be one of {RANK_SANITIZE_MODES}"
             )
-        from repro.gpusim import ENGINE_MODES
-
-        if self.local_assembly_engine not in ENGINE_MODES:
-            raise ValueError(
-                f"local_assembly_engine must be one of {ENGINE_MODES}"
-            )
-        from repro.sanitize import SANITIZE_MODES
-
-        if self.local_assembly_sanitize not in SANITIZE_MODES:
-            raise ValueError(
-                f"local_assembly_sanitize must be one of {SANITIZE_MODES}"
-            )
-        from repro.gpusim import OVERLAP_MODES
-
-        if self.local_assembly_overlap not in OVERLAP_MODES:
-            raise ValueError(
-                f"local_assembly_overlap must be one of {OVERLAP_MODES}"
-            )
-        if self.local_assembly_prefetch < 1:
-            raise ValueError("local_assembly_prefetch must be >= 1")
-        if self.local_assembly_streams < 1:
-            raise ValueError("local_assembly_streams must be >= 1")
-        if (
-            self.local_assembly_batch_cap is not None
-            and self.local_assembly_batch_cap < 1
-        ):
-            raise ValueError("local_assembly_batch_cap must be >= 1 (or None)")
-        if (
-            self.local_assembly_mem_budget is not None
-            and self.local_assembly_mem_budget < 1
-        ):
-            raise ValueError("local_assembly_mem_budget must be >= 1 (or None)")
 
 
 @dataclass
@@ -316,16 +262,7 @@ def run_pipeline(
             aln.candidates,
             config=config.local_assembly,
             mode=config.local_assembly_mode,
-            kernel_version=config.gpu_kernel_version,
-            workers=config.local_assembly_workers,
-            engine=config.local_assembly_engine,
-            sanitize=config.local_assembly_sanitize,
-            overlap=config.local_assembly_overlap,
-            prefetch=config.local_assembly_prefetch,
-            streams=config.local_assembly_streams,
-            batch_cap=config.local_assembly_batch_cap,
-            mem_budget=config.local_assembly_mem_budget,
-            profile_host=config.local_assembly_profile_host,
+            driver=config.gpu,
         )
 
     scaffolds: ScaffoldingResult | None = None

@@ -25,15 +25,18 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.core.config import GpuDriverConfig
 
 __all__ = [
     "JobState",
     "TERMINAL_STATES",
     "PIPELINE_SPEC_KEYS",
+    "GPU_SPEC_KEYS",
     "JobSpec",
     "Job",
     "atomic_write_json",
@@ -72,8 +75,8 @@ _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
 }
 
 #: :class:`~repro.pipeline.pipeline.PipelineConfig` fields a job spec may
-#: override — the JSON-representable knobs; nested/dataclass fields and
-#: the service-owned memory budget stay out.
+#: override — the JSON-representable knobs, plus ``"gpu"``: a dict of
+#: :data:`GPU_SPEC_KEYS` that builds the run's ``GpuDriverConfig``.
 PIPELINE_SPEC_KEYS = frozenset(
     {
         "k_series",
@@ -83,18 +86,16 @@ PIPELINE_SPEC_KEYS = frozenset(
         "kmer_ranks",
         "min_contig_len",
         "local_assembly_mode",
-        "gpu_kernel_version",
-        "local_assembly_workers",
-        "local_assembly_engine",
-        "local_assembly_sanitize",
-        "local_assembly_overlap",
-        "local_assembly_prefetch",
-        "local_assembly_streams",
-        "local_assembly_batch_cap",
-        "local_assembly_profile_host",
+        "gpu",
         "run_scaffolding",
     }
 )
+
+#: :class:`~repro.core.config.GpuDriverConfig` fields the ``"gpu"`` key
+#: may set; the memory budget is service-owned (:attr:`JobSpec.mem_budget`).
+GPU_SPEC_KEYS = frozenset(f.name for f in fields(GpuDriverConfig)) - {
+    "mem_budget"
+}
 
 
 def new_job_id() -> str:
@@ -132,6 +133,13 @@ class JobSpec:
             raise ValueError(
                 f"unknown pipeline config keys in job spec: {sorted(unknown)}"
             )
+        gpu = self.config.get("gpu", {})
+        unknown = set(gpu) - GPU_SPEC_KEYS
+        if unknown:
+            raise ValueError(
+                f"unknown gpu config keys in job spec: {sorted(unknown)}"
+            )
+        GpuDriverConfig(**gpu)  # validate the values at submission
         if self.mem_budget is not None and self.mem_budget < 1:
             raise ValueError("mem_budget must be >= 1 (or None)")
 
@@ -142,8 +150,9 @@ class JobSpec:
         kwargs = dict(self.config)
         if "k_series" in kwargs:
             kwargs["k_series"] = tuple(kwargs["k_series"])
+        gpu = GpuDriverConfig(**kwargs.pop("gpu", {}))
         return PipelineConfig(
-            **kwargs, local_assembly_mem_budget=mem_budget
+            **kwargs, gpu=replace(gpu, mem_budget=mem_budget)
         )
 
     def to_dict(self) -> dict:

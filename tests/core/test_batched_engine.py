@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import GpuDriverConfig, LocalAssemblyConfig
 from repro.core.cpu_local_assembly import run_local_assembly_cpu
 from repro.core.driver import GpuLocalAssembler
 from repro.core.local_assembler import extend_tasks
@@ -100,10 +100,12 @@ class TestBatchedDeterminism:
 
     def test_extend_tasks_threads_engine(self, workload, config):
         seq, seq_report = extend_tasks(
-            workload, config=config, mode="gpu", engine="sequential"
+            workload, config=config, mode="gpu",
+            driver=GpuDriverConfig(engine="sequential"),
         )
         bat, bat_report = extend_tasks(
-            workload, config=config, mode="gpu", engine="batched"
+            workload, config=config, mode="gpu",
+            driver=GpuDriverConfig(engine="batched"),
         )
         assert bat == seq
         _assert_identical_reports(

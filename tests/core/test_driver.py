@@ -67,6 +67,16 @@ class TestDriver:
         assert report.bin_kernel_time_s("bin3") > 0
         assert report.n_extended() >= 2
 
+    def test_bin_attribution_uses_structured_fields(self, binned_tasks):
+        report = GpuLocalAssembler(LocalAssemblyConfig()).run(binned_tasks)
+        bins_seen = {l.bin for l in report.launches}
+        assert bins_seen <= {"bin2", "bin3"}
+        assert all(l.kernel == "v2" for l in report.launches)
+        total = report.bin_kernel_time_s("bin2") + report.bin_kernel_time_s("bin3")
+        assert total == pytest.approx(report.kernel_time_s)
+        # an unknown bin attributes nothing, even as a substring of a name
+        assert report.bin_kernel_time_s("bin") == 0.0
+
     def test_all_tasks_get_extensions(self, binned_tasks):
         report = GpuLocalAssembler(LocalAssemblyConfig()).run(binned_tasks)
         assert set(report.extensions) == {

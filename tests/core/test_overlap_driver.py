@@ -17,7 +17,6 @@ from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import run_local_assembly_cpu
 from repro.core.driver import GpuLocalAssembler
 from repro.core.tasks import LEFT, RIGHT, ExtensionTask, TaskSet
-from repro.gpusim.shmem import shared_memory_available
 from repro.sequence.dna import encode, random_dna
 
 
@@ -79,17 +78,6 @@ class TestBitIdentity:
         assert sum(l.n_warps for l in on.launches) == sum(
             l.n_warps for l in off.launches
         )
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on this host"
-    )
-    def test_overlap_matches_serial_driver_pool(self, workload, config):
-        off = GpuLocalAssembler(config, engine="pool", workers=2,
-                                overlap="off").run(workload)
-        on = GpuLocalAssembler(config, engine="pool", workers=2,
-                               overlap="on").run(workload)
-        assert on.extensions == off.extensions
-        assert _per_warp_stream(on) == _per_warp_stream(off)
 
     def test_overlap_matches_cpu_reference(self, workload, config):
         cpu, _ = run_local_assembly_cpu(workload, config)

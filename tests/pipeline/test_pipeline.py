@@ -68,6 +68,31 @@ class TestGpuCpuEquivalence:
         assert gpu.local_assembly.gpu_report is not None
         assert gpu.local_assembly.gpu_report.kernel_time_s > 0
 
+    def test_driver_config_reaches_the_driver(self):
+        """A knob set on ``PipelineConfig.gpu`` changes the batch
+        schedule the driver runs, never the contigs."""
+        from repro.core.config import GpuDriverConfig
+
+        rng = np.random.default_rng(4243)
+        design = CommunityDesign(
+            n_genomes=2,
+            genome_spec=GenomeSpec(length=4000, repeat_fraction=0.02, shared_fraction=0.0),
+            abundance_sigma=0.3,
+        )
+        reads = sample_paired_reads(Community.generate(design, rng), 800, rng)
+        base = run_pipeline(reads, PipelineConfig(
+            local_assembly_mode="gpu", run_scaffolding=False,
+        ))
+        capped = run_pipeline(reads, PipelineConfig(
+            local_assembly_mode="gpu", run_scaffolding=False,
+            gpu=GpuDriverConfig(batch_cap=1),
+        ))
+        assert [c.seq for c in capped.contigs] == [c.seq for c in base.contigs]
+        assert (
+            capped.local_assembly.gpu_report.n_batches
+            > base.local_assembly.gpu_report.n_batches
+        )
+
 
 class TestPerfectData:
     def test_clean_community_assembles_well(self):

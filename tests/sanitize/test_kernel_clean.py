@@ -2,14 +2,14 @@
 
 This is the acceptance gate for the kernels themselves: running the
 unmodified v2 kernel (and the v1 baseline) under ``--sanitize full``
-reports zero errors on the sequential, pool and batched engines, and
+reports zero errors on the sequential and batched engines, and
 turning the sanitizer on does not change a single extended base.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import GpuDriverConfig, LocalAssemblyConfig
 from repro.core.driver import GpuLocalAssembler
 from repro.core.tasks import ExtensionTask, TaskSet
 
@@ -46,14 +46,9 @@ def baseline(workload, cfg):
     return GpuLocalAssembler(config=cfg, engine="sequential").run(workload)
 
 
-@pytest.mark.parametrize(
-    "engine,workers",
-    [("sequential", 1), ("pool", 2), ("batched", 1)],
-)
-def test_v2_sanitizer_clean_on_engine(workload, cfg, baseline, engine, workers):
-    asm = GpuLocalAssembler(
-        config=cfg, engine=engine, workers=workers, sanitize="full"
-    )
+@pytest.mark.parametrize("engine", ["sequential", "batched"])
+def test_v2_sanitizer_clean_on_engine(workload, cfg, baseline, engine):
+    asm = GpuLocalAssembler(config=cfg, engine=engine, sanitize="full")
     report = asm.run(workload)
     san = report.sanitizer
     assert san is not None
@@ -77,10 +72,10 @@ def test_unsanitized_report_has_no_sanitizer(baseline):
 def test_sanitize_knob_threads_through_pipeline():
     from repro.pipeline import PipelineConfig
 
-    cfg = PipelineConfig(local_assembly_sanitize="full")
-    assert cfg.local_assembly_sanitize == "full"
-    with pytest.raises(ValueError, match="local_assembly_sanitize"):
-        PipelineConfig(local_assembly_sanitize="everything")
+    cfg = PipelineConfig(gpu=GpuDriverConfig(sanitize="full"))
+    assert cfg.gpu.sanitize == "full"
+    with pytest.raises(ValueError, match="sanitize"):
+        GpuDriverConfig(sanitize="everything")
 
 
 def test_driver_rejects_bad_mode(cfg):

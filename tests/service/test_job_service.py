@@ -85,6 +85,21 @@ class TestJobModel:
         with pytest.raises(ValueError, match="unknown pipeline config keys"):
             JobSpec(reads="r", config={"insert_mean": 5.0})
 
+    def test_gpu_spec_keys_validated_at_submission(self):
+        with pytest.raises(ValueError, match="unknown gpu config keys"):
+            JobSpec(reads="r", config={"gpu": {"workers": 2}})
+        # the memory budget is service-owned: JobSpec.mem_budget sets it
+        with pytest.raises(ValueError, match="unknown gpu config keys"):
+            JobSpec(reads="r", config={"gpu": {"mem_budget": 1 << 20}})
+        with pytest.raises(ValueError, match="engine"):
+            JobSpec(reads="r", config={"gpu": {"engine": "pool"}})
+
+    def test_gpu_spec_builds_driver_config(self):
+        spec = JobSpec(reads="r", config={"gpu": {"batch_cap": 2}})
+        cfg = spec.pipeline_config(mem_budget=GB)
+        assert cfg.gpu.batch_cap == 2
+        assert cfg.gpu.mem_budget == GB
+
     def test_recovery_edge(self):
         job = Job(job_id="j", spec=JobSpec(reads="r"))
         job.transition(JobState.STAGING)
@@ -160,6 +175,20 @@ class TestService:
             assert contig_seqs(svc.queue.job_dir(job.job_id)) == solo
             assert done.metrics["queue_wait_s"] is not None
             assert "stage_seconds" in done.metrics
+
+    def test_gpu_knobs_roundtrip_and_run_bit_identical(
+        self, tmp_path, reads_file, solo_result
+    ):
+        config = {**GPU_JOB, "gpu": {"batch_cap": 2}}
+        with AssemblyService(tmp_path / "svc", ServiceConfig(n_gpus=1)) as svc:
+            job = svc.submit(reads_file, config=config)
+            job_dir = svc.queue.job_dir(job.job_id)
+            on_disk = json.loads((job_dir / "job.json").read_text())
+            assert on_disk["spec"]["config"]["gpu"] == {"batch_cap": 2}
+            assert Job.load(job_dir).spec == job.spec
+            (done,) = svc.drain()
+        assert done.state is JobState.DONE, done.error
+        assert contig_seqs(job_dir) == [c.seq for c in solo_result.contigs]
 
     def test_report_json(self, tmp_path, reads_file):
         with AssemblyService(tmp_path / "svc", ServiceConfig(n_gpus=1)) as svc:

@@ -75,6 +75,56 @@ class TestWorkflow:
         rc = main(["assemble", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_assemble_gpu_prints_profile_and_sanitizer(
+        self, data_dir, tmp_path, capsys
+    ):
+        rc = main([
+            "assemble", str(data_dir / "reads.fastq"),
+            "--out", str(tmp_path / "g"), "--mode", "gpu", "--no-scaffold",
+            "--sanitize", "full", "--profile-host",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "host-path profile (wall clock):" in out
+        assert "stage+upload per batch" in out
+        assert "sanitizer (full): 0 errors" in out
+        # the profile comes first, then the sanitizer verdict
+        assert out.index("host-path profile") < out.index("sanitizer (full)")
+
+    def test_assemble_exits_1_on_sanitizer_errors(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        from repro.sanitize import Sanitizer
+        from repro.sanitize.report import SanitizerReport
+
+        monkeypatch.setattr(
+            Sanitizer, "report",
+            lambda self: SanitizerReport(mode=self.mode, n_suppressed=1),
+        )
+        rc = main([
+            "assemble", str(data_dir / "reads.fastq"),
+            "--out", str(tmp_path / "g"), "--mode", "gpu", "--no-scaffold",
+            "--sanitize", "memcheck",
+        ])
+        assert rc == 1
+        assert "sanitizer (memcheck): 1 error(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "checker", ["memcheck", "racecheck", "initcheck", "full"]
+    )
+    def test_assemble_rejects_gpu_checker_in_cpu_mode(
+        self, data_dir, tmp_path, capsys, checker
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "assemble", str(data_dir / "reads.fastq"),
+                "--out", str(tmp_path / "c"), "--mode", "cpu",
+                "--sanitize", checker,
+            ])
+        assert exc.value.code == 2
+        assert "--mode gpu" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_scale_wa(self, capsys):
         rc = main(["scale", "--dataset", "wa"])
         assert rc == 0
