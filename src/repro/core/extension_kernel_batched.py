@@ -2,11 +2,10 @@
 
 The sequential kernel (:mod:`repro.core.extension_kernel`) is a per-warp
 program: ``clear → build → walk`` under the k-shift machine, one task at a
-time.  This module re-expresses it as a *per-step fleet operation*: all
-warps of a launch advance through the same step in lockstep, with
-``(n_warps, 32)`` SoA state and per-warp predication masks instead of
-Python control flow — the execution shape the paper's GPU actually uses
-(§3.3–3.4: thousands of concurrent warp-local table builds and walks).
+time.  This module runs all warps of a launch at once, with SoA state and
+per-warp predication instead of Python control flow — the execution shape
+the paper's GPU actually uses (§3.3–3.4: thousands of concurrent
+warp-local table builds and walks).
 
 Round structure.  Each warp's k-shift state evolves independently (the
 machine moves monotonically through mer sizes), so every round groups the
@@ -15,18 +14,20 @@ arrays are uniform width and every kernel step vectorises across the
 group:
 
 * **clear** — per-row span memsets of the hash-table + visited regions;
-* **build** — each warp's insert stream is decomposed into 32-lane chunk
-  steps (the Fig 7 layout); step *s* of every warp runs as one operation:
-  window-span loads, row murmur hashes, then the ``atomicCAS`` +
-  ``match_any`` insert choreography with ``(rows, 32)`` pending masks
-  advancing the linear probe;
+* **build** — one flat queue of pending lanes for the whole group.  Each
+  warp holds a pointer to its current 32-lane chunk step (the Fig 7
+  layout); a round runs the ``atomicCAS`` + ``match_any`` insert
+  choreography for every pending lane, and a warp whose step resolved is
+  refilled with its next step's window-span loads and row murmur hashes;
 * **walk** — single-lane per warp; each walk step (visited-table probe,
   main-table lookup, fork/dead-end classification, base append) applies
   to all still-walking rows at once.
 
 Bit-identity with the sequential interpreter holds because counters are
 additive per warp (each :class:`~repro.gpusim.batched.WarpBatch` primitive
-reproduces the per-warp accounting exactly) and all device regions are
+reproduces the per-warp accounting exactly, whether it books at once or
+through a :class:`~repro.gpusim.batched.LaneLedger`), every warp runs its
+ops in sequential program order, and all device regions are
 warp-disjoint, so results do not depend on warp interleaving — checked
 end to end by ``tests/core/test_batched_engine.py`` and the scaling
 benchmark.
@@ -40,6 +41,7 @@ for it.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.extension import KShiftState, WalkStatus, kshift_next
 from repro.core.extension_kernel import _hash_cost_ops, extension_task_kernel_v2
@@ -57,69 +59,6 @@ __all__ = ["run_extension_v2_batched"]
 _LANES = 32
 
 
-def _warp_build_stream(batch: DeviceBatch, t: int, k: int):
-    """One warp's build work as step-major arrays.
-
-    Flattens the task's per-read k-mer chunk sequence into
-    ``(n_steps, 32)`` hash/ext/hi/valid arrays plus per-step load starts
-    and active-lane counts — the SoA decomposition of the sequential
-    per-read, per-chunk loop, computed with one window gather and one
-    murmur pass over the whole task instead of per-read Python work.
-    Returns None when the task has no k-mers.  Values match
-    :func:`~repro.core.extension_kernel.read_window_plan` row for row.
-    """
-    cfg = batch.config
-    rng = batch.task_reads(t)
-    if len(rng) == 0:
-        return None
-    ro = batch.read_offsets
-    rb_all = ro[rng.start : rng.stop]
-    nk_all = (ro[rng.start + 1 : rng.stop + 1] - rb_all) - k
-    keep = nk_all > 0
-    if not keep.any():
-        return None
-    rb = rb_all[keep]
-    nk = nk_all[keep]
-    m = int(nk.sum())
-    cum = np.cumsum(nk) - nk
-    local = cached_arange(m) - np.repeat(cum, nk)
-    starts = np.repeat(rb, nk) + local  # flat k-mer start pointers
-    rdata = batch.reads_buf.data
-    win = rdata[starts[:, None] + cached_arange(k)]
-    ext = rdata[starts + k].astype(np.int64)
-    hi = batch.quals_buf.data[starts + k] >= cfg.hi_q_thresh
-    valid = (ext < 4) & ~(win >= 4).any(axis=1)
-    hashes = np.zeros(m, dtype=np.int64)
-    if valid.any():
-        hashes[valid] = murmurhash2_rows(
-            np.ascontiguousarray(win[valid])
-        ).astype(np.int64)
-    # pad each read's k-mer run out to whole 32-lane steps
-    n_steps = (nk + _LANES - 1) // _LANES
-    tot_steps = int(n_steps.sum())
-    step_off = np.cumsum(n_steps) - n_steps
-    pos = local + _LANES * np.repeat(step_off, nk)
-
-    def scatter(a, dtype):
-        out = np.zeros(tot_steps * _LANES, dtype=dtype)
-        out[pos] = a
-        return out.reshape(tot_steps, _LANES)
-
-    step_idx = cached_arange(tot_steps) - np.repeat(step_off, n_steps)
-    load_start = np.repeat(rb, n_steps) + _LANES * step_idx
-    acts = np.full(tot_steps, _LANES, dtype=np.int64)
-    last = step_off + n_steps - 1
-    acts[last] = nk - _LANES * (n_steps - 1)
-    return (
-        scatter(hashes, np.int64),
-        scatter(ext, np.int64),
-        scatter(hi, bool),
-        scatter(valid, bool),
-        load_start,
-        acts,
-    )
-
-
 def _clear_group(wb: WarpBatch, batch: DeviceBatch, rows, ht_start, slots, vis_start) -> None:
     """Re-initialise every row's table + visited regions (coalesced)."""
     wb.store_span(batch.ht_ptr, ht_start, slots, EMPTY_PTR, rows)
@@ -134,134 +73,145 @@ def _clear_group(wb: WarpBatch, batch: DeviceBatch, rows, ht_start, slots, vis_s
     )
 
 
-def _probe_insert_group(
-    wb: WarpBatch,
-    batch: DeviceBatch,
-    rows,
-    ht_start,
-    slots,
-    valid,
-    hashes,
-    my_ptr,
-    ext,
-    hi,
-    k: int,
-) -> None:
-    """The §3.3 insert choreography across all rows of a build step.
+def _step_table(batch: DeviceBatch, tasks_g, k: int):
+    """Every warp's 32-lane chunk steps (the Fig 7 layout), warp-major.
 
-    ``(len(rows), 32)`` pending masks advance the linear probe; rows drop
-    out of an iteration's sub-operations (CAS, key compare, tally) exactly
-    when the sequential per-warp code would skip them.
+    Returns ``(step_off, load_start, n_act)``: warp ``i`` owns steps
+    ``step_off[i]:step_off[i + 1]``, one per 32 consecutive k-mer starts of
+    one read (reads with no k-mer at this *k* have none), in the order the
+    sequential per-read, per-chunk loop visits them.  Only per-step
+    metadata is built here; a step's k-mers are materialised when its warp
+    reaches it.
     """
-    key_words = (k + 7) // 8
-    pending = valid.copy()
-    off = np.zeros(pending.shape, dtype=np.int64)
-    rbuf = batch.reads_buf.data
-    ar_k = cached_arange(k)
-    while True:
-        pcnt_all = pending.sum(axis=1)
-        a = np.nonzero(pcnt_all)[0]
-        if a.size == 0:
-            break
-        r = rows[a]
-        P = pending[a]
-        pcnt = pcnt_all[a]
-        gidx = ht_start[a, None] + (hashes[a] + off[a]) % slots[a, None]
-        # fuse_int=2: slot = (hash + off) % slots address math;
-        # fuse_control=1: the loop-back branch, issued under the entry mask
-        ptrs = wb.load_gather(
-            batch.ht_ptr, gidx, P, r, active=pcnt, fuse_int=2, fuse_control=1
-        )
-        empty = P & (ptrs == EMPTY_PTR)
-        ecnt_all = empty.sum(axis=1)
-        e = np.nonzero(ecnt_all)[0]
-        won = np.zeros_like(P)
-        old = np.zeros_like(ptrs)
-        myp = my_ptr[a]
-        if e.size:
-            # Thread-collision mask + CAS claim + sync (paper §3.3),
-            # issued as one fused op.
-            old_e = wb.atomic_cas(
-                batch.ht_ptr, gidx[e], EMPTY_PTR, myp[e], empty[e], r[e],
-                active=ecnt_all[e], fuse_shfl_sync=True,
-            )
-            old[e] = old_e
-            won[e] = empty[e] & (old_e == EMPTY_PTR)
-        occupant = np.where(won, myp, np.where(empty, old, ptrs))
-        contender = P & ~won
-        ccnt_all = contender.sum(axis=1)
-        c = np.nonzero(ccnt_all)[0]
-        key_eq = np.zeros_like(P)
-        if c.size:
-            # fuse_int: the per-word key compare
-            wb.gather_span(
-                batch.reads_buf, occupant[c], contender[c], k, r[c],
-                active=ccnt_all[c], fuse_int=key_words,
-            )
-            occ_p = occupant[contender]
-            mine_p = myp[contender]
-            key_eq[contender] = (
-                rbuf[occ_p[:, None] + ar_k] == rbuf[mine_p[:, None] + ar_k]
-            ).all(axis=1)
-        resolved = won | (contender & key_eq)
-        u = np.nonzero(resolved.any(axis=1))[0]
-        if u.size:
-            cidx = gidx * 4 + ext[a]
-            _ = wb.atomic_add(batch.ht_total, cidx[u], 1, resolved[u], r[u])
-            hq = resolved & hi[a]
-            v = np.nonzero(hq.any(axis=1))[0]
-            if v.size:
-                _ = wb.atomic_add(batch.ht_hi, cidx[v], 1, hq[v], r[v])
-        new_pending = P & ~resolved
-        pending[a] = new_pending
-        off[a] += new_pending
+    trs = batch.task_read_start
+    lo = trs[tasks_g]
+    n_reads = trs[tasks_g + 1] - lo
+    first = np.cumsum(n_reads) - n_reads
+    ri = cached_arange(int(n_reads.sum())) + np.repeat(lo - first, n_reads)
+    rw = np.repeat(cached_arange(tasks_g.size), n_reads)
+    ro = batch.read_offsets
+    rb = ro[ri]
+    nk = ro[ri + 1] - rb - k
+    keep = nk > 0
+    rb, nk, rw = rb[keep], nk[keep], rw[keep]
+    n_steps = (nk + _LANES - 1) // _LANES
+    sr = np.repeat(cached_arange(rb.size), n_steps)
+    chunk = _LANES * (
+        cached_arange(sr.size) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+    )
+    step_off = np.zeros(tasks_g.size + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(rw, weights=n_steps, minlength=tasks_g.size).astype(np.int64),
+        out=step_off[1:],
+    )
+    return step_off, rb[sr] + chunk, np.minimum(_LANES, nk[sr] - chunk)
 
 
 def _build_group(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
-    """Lockstep warp-cooperative table build for one k-group."""
-    streams = [_warp_build_stream(batch, int(t), k) for t in tasks_g]
-    n_steps = np.array(
-        [0 if s is None else s[0].shape[0] for s in streams], dtype=np.int64
-    )
-    max_steps = int(n_steps.max()) if n_steps.size else 0
-    if max_steps == 0:
+    """Warp-cooperative table build for one k-group, as one flat lane queue.
+
+    Each warp holds a pointer to its current chunk step.  A round probes
+    the pending lanes of every warp at once (the §3.3 ``atomicCAS`` +
+    ``match_any`` insert choreography, linear probing on hash
+    collisions); a warp whose step resolved is refilled with its next
+    step's lanes — window-span loads, row murmur hashes — before the next
+    round, and steps with no valid lane issue their loads and are skipped.
+    Every warp thus runs its sequential program order, and the rounds
+    track the slowest warp's *total* probe chain rather than the sum of
+    per-step maxima.  Tables are warp-disjoint, so the interleaving across
+    warps cannot change results.  Accounting goes through one
+    :class:`LaneLedger`, flushed before the build-to-walk barrier.
+    """
+    step_off, step_start, step_act = _step_table(batch, tasks_g, k)
+    if step_start.size == 0:
         return
-    # Stack every task's stream into step-padded group arrays once, so each
-    # step is a pure slice instead of a per-row copy loop.
-    G = len(streams)
-    H_all = np.zeros((G, max_steps, _LANES), dtype=np.int64)
-    E_all = np.zeros((G, max_steps, _LANES), dtype=np.int64)
-    Q_all = np.zeros((G, max_steps, _LANES), dtype=bool)
-    V_all = np.zeros((G, max_steps, _LANES), dtype=bool)
-    start_all = np.zeros((G, max_steps), dtype=np.int64)
-    act_all = np.zeros((G, max_steps), dtype=np.int64)
-    for i, s in enumerate(streams):
-        if s is None:
-            continue
-        ns = s[0].shape[0]
-        H_all[i, :ns], E_all[i, :ns], Q_all[i, :ns], V_all[i, :ns] = s[:4]
-        start_all[i, :ns] = s[4]
-        act_all[i, :ns] = s[5]
-    lanes = cached_arange(_LANES)
+    cfg = batch.config
+    G = rows.size
+    nxt = step_off[:-1].copy()  # per-warp step pointer
+    end = step_off[1:]
+    rdata = batch.reads_buf.data
+    qdata = batch.quals_buf.data
+    windows = sliding_window_view(rdata, k)  # the k-mer at pointer p
     hops = _hash_cost_ops(k)
-    for step in range(max_steps):
-        sel = np.nonzero(n_steps > step)[0]
-        r = rows[sel]
-        H = H_all[sel, step]
-        E = E_all[sel, step]
-        Q = Q_all[sel, step]
-        V = V_all[sel, step]
-        load_start = start_all[sel, step]
-        n_act = act_all[sel, step]
-        # Coalesced window + ext-base + quality loads (Fig 7).
-        wb.load_span(batch.reads_buf, load_start, n_act + k, r)
-        wb.load_span(batch.quals_buf, load_start + k, n_act, r)
-        wb.int_op(hops, r, n_act)  # row murmur hashes
-        my_ptr = load_start[:, None] + lanes[None, :]
-        E[~V] = 0
-        _probe_insert_group(
-            wb, batch, r, ht_start[sel], slots[sel], V, H, my_ptr, E, Q, k
+    key_words = (k + 7) // 8
+    ledger = wb.ledger(rows)
+    # the pending-lane queue, one column per lane: ledger warp, lane,
+    # hash, my_ptr, ext base, hi-quality flag, probe offset
+    queue = np.zeros((7, 0), dtype=np.int64)
+    left = np.zeros(G, dtype=np.int64)  # pending lanes per warp
+    while True:
+        idle = (left == 0) & (nxt < end)
+        while idle.any():
+            wi = np.flatnonzero(idle)
+            s = nxt[wi]
+            nxt[wi] += 1
+            load_start, n_act, r = step_start[s], step_act[s], rows[wi]
+            # Coalesced window + ext-base + quality loads (Fig 7).
+            wb.load_span(batch.reads_buf, load_start, n_act + k, r)
+            wb.load_span(batch.quals_buf, load_start + k, n_act, r)
+            wb.int_op(hops, r, n_act)  # row murmur hashes
+            lane = cached_arange(int(n_act.sum())) - np.repeat(
+                np.cumsum(n_act) - n_act, n_act
+            )
+            ptr = np.repeat(load_start, n_act) + lane
+            win = windows[ptr]
+            v = np.flatnonzero((rdata[ptr + k] < 4) & (win < 4).all(axis=1))
+            lw = np.repeat(wi, n_act)[v]
+            ptr = ptr[v]
+            fresh = np.empty((7, v.size), dtype=np.int64)
+            fresh[0] = lw
+            fresh[1] = lane[v]
+            fresh[2] = murmurhash2_rows(win[v])
+            fresh[3] = ptr
+            fresh[4] = rdata[ptr + k]
+            fresh[5] = qdata[ptr + k] >= cfg.hi_q_thresh
+            fresh[6] = 0
+            queue = np.concatenate((queue, fresh), axis=1)
+            got = np.bincount(lw, minlength=G)
+            left += got
+            idle[wi] = (got[wi] == 0) & (nxt[wi] < end[wi])
+        if queue.shape[1] == 0:
+            break
+        qw, ql, qh, qp, qe, qq, qo = queue
+        gidx = ht_start[qw] + (qh + qo) % slots[qw]
+        # fuse_int=2: slot = (hash + off) % slots address math;
+        # fuse_control=1: the loop-back branch
+        occupant = wb.load_lanes(
+            ledger, batch.ht_ptr, gidx, qw, ql, fuse_int=2, fuse_control=1
         )
+        resolved = np.zeros(qw.size, dtype=bool)  # claimed or found its key
+        e = np.flatnonzero(occupant == EMPTY_PTR)
+        if e.size:
+            # Thread-collision mask + CAS claim + sync (paper §3.3),
+            # issued as one fused op.
+            old = wb.atomic_cas_lanes(
+                ledger, batch.ht_ptr, gidx[e], EMPTY_PTR, qp[e], qw[e], ql[e],
+                fuse_shfl_sync=True,
+            )
+            won = old == EMPTY_PTR
+            resolved[e] = won
+            # the pointer a losing lane compares against: the prior
+            # occupant, or the lane that just won the CAS race
+            occupant[e] = np.where(won, qp[e], old)
+        c = np.flatnonzero(~resolved)
+        if c.size:
+            occ = occupant[c]
+            # fuse_int: the per-word key compare
+            wb.gather_span_lanes(
+                ledger, batch.reads_buf, occ, k, qw[c], ql[c], fuse_int=key_words
+            )
+            resolved[c] = (windows[occ] == windows[qp[c]]).all(axis=1)
+        u = np.flatnonzero(resolved)
+        if u.size:
+            cidx, wu, lu = gidx[u] * 4 + qe[u], qw[u], ql[u]
+            _ = wb.atomic_add_lanes(ledger, batch.ht_total, cidx, 1, wu, lu)
+            h = qq[u] != 0
+            if h.any():
+                _ = wb.atomic_add_lanes(ledger, batch.ht_hi, cidx[h], 1, wu[h], lu[h])
+        queue = queue[:, ~resolved]
+        queue[6] += 1
+        left = np.bincount(queue[0], minlength=G)
+    ledger.flush()
 
 
 def _walk_group(

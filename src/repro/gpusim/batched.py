@@ -1,13 +1,14 @@
-"""Batched SoA warp execution: advance every warp of a launch in lockstep.
+"""Batched SoA warp execution: advance every warp of a launch at once.
 
 The sequential interpreter (:mod:`repro.gpusim.warp`) runs one
 :class:`~repro.gpusim.warp.Warp` at a time, so a launch pays Python
 dispatch overhead per warp per instruction.  This module provides the
-*batched* engine primitives: kernel state lives in ``(n_warps, 32)``
-structure-of-arrays form and every simulated instruction is applied to all
-participating warps with one NumPy operation — the same layout trick
-MetaCache-GPU and the MHM2 lineage use to keep thousands of concurrent
-work items busy on real hardware.
+*batched* engine primitives: kernel state lives in structure-of-arrays
+form (per-row arrays, or flat lane lists tagged with their warp) and
+every simulated instruction is applied to all participating warps with
+one NumPy operation — the same layout trick MetaCache-GPU and the MHM2
+lineage use to keep thousands of concurrent work items busy on real
+hardware.
 
 Correctness contract (pinned by the differential tests and the
 ``bench_engine_scaling`` bit-identity check):
@@ -45,6 +46,7 @@ from repro.gpusim.memory import DeviceArray, DeviceFreeError
 
 __all__ = [
     "BatchCounters",
+    "LaneLedger",
     "WarpBatch",
     "register_batched",
     "batched_impl",
@@ -64,10 +66,15 @@ def set_active_sanitizer(sanitizer) -> None:
     global _ACTIVE_SANITIZER
     _ACTIVE_SANITIZER = sanitizer
 
-#: per-group composite sort keys: ``group * _KEY_BASE + sector``.  Sector
-#: ids fit comfortably (16 GB of device space / 32-byte sectors < 2^30)
-#: and group ids stay below 2^18 for any realistic launch.
-_KEY_BASE = np.int64(1) << 45
+#: per-group composite sort keys: ``group * _KEY_BASE + offset``.  Byte
+#: offsets inside one device array stay far below 2^45 (32 TB), which
+#: leaves 18 bits of an int64 for the group id.
+_KEY_BITS = 45
+_KEY_BASE = np.int64(1) << _KEY_BITS
+#: the most groups one composite-key sort can tell apart.
+MAX_KEY_GROUPS = 1 << 18
+#: sector keys a :class:`LaneLedger` buffers before it flushes (~2 MB).
+LEDGER_KEY_BUDGET = 1 << 17
 
 #: batched-kernel registry: sequential kernel fn -> batched implementation
 #: with signature ``impl(n_warps, sector_bytes, *launch_args)`` returning
@@ -109,30 +116,57 @@ def batched_impl(kernel_fn: Callable) -> Callable | None:
     return _BATCHED_IMPLS.get(kernel_fn)
 
 
-def _per_group_unique(n_groups: int, groups: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Distinct *values* per group, vectorised over all groups at once.
+def _per_group_unique(
+    n_groups: int,
+    groups: np.ndarray,
+    offsets: np.ndarray,
+    spans: tuple = ((0, 1),),
+    sector_bytes: int = 1,
+    base: int = 0,
+) -> np.ndarray:
+    """Distinct sectors per group, vectorised over all groups at once.
 
-    This is the batched form of the sequential path's per-warp
-    ``len(set(...))`` sector dedup: one global sort over composite
-    ``group * base + value`` keys replaces a Python set per warp
-    (sort + run-heads + bincount — cheaper than ``np.unique``).
+    Lane ``i`` of group ``groups[i]`` touches, for each ``(start, length)``
+    of *spans*, the bytes ``[base + offsets[i] + start, ... + length)``;
+    per group and span the distinct *sector_bytes*-sized sectors are
+    counted, and the spans summed (no dedup across spans — the sequential
+    per-column accounting).  With the defaults this is the number of
+    distinct *offsets* per group: the batched form of the sequential
+    path's per-warp ``len(set(...))`` sector dedup.
+
+    One sort over composite ``group * _KEY_BASE + offset`` keys orders
+    every group's lanes by address, so each span's first and last sectors
+    never decrease along a group and a lane's new sectors are exactly
+    those past its predecessor's last: one pass per span, no per-span
+    sort.  Raises :class:`OverflowError` for more than
+    :data:`MAX_KEY_GROUPS` groups, whose ids would wrap the int64 key.
     """
+    if n_groups > MAX_KEY_GROUPS:
+        raise OverflowError(
+            f"{n_groups} groups exceed the {MAX_KEY_GROUPS} a composite "
+            f"sort key can hold"
+        )
     if groups.size == 0:
         return np.zeros(n_groups, dtype=np.int64)
-    keys = groups.astype(np.int64) * _KEY_BASE + values
+    keys = (groups.astype(np.int64, copy=False) << _KEY_BITS) + offsets
     keys.sort()
-    head = run_heads(keys)
-    return np.bincount(
-        (keys[head] // _KEY_BASE).astype(np.intp, copy=False), minlength=n_groups
-    ).astype(np.int64, copy=False)
+    g = keys >> _KEY_BITS
+    addr = (keys & (_KEY_BASE - 1)) + base
+    fresh = run_heads(g)  # each group's first lane
+    new = np.zeros(keys.size, dtype=np.int64)
+    prev = np.empty(keys.size, dtype=np.int64)
+    for start, length in spans:
+        first = (addr + start) // sector_bytes
+        last = (addr + (start + length - 1)) // sector_bytes
+        prev[1:] = last[:-1]
+        prev[fresh] = -1
+        new += last - np.maximum(first - 1, prev)
+    return np.bincount(g, weights=new, minlength=n_groups).astype(np.int64)
 
 
 def _run_lengths(run_starts: np.ndarray, total: int) -> np.ndarray:
     """Run lengths from run-start positions over *total* sorted elements."""
-    counts = np.empty(run_starts.size, dtype=np.int64)
-    counts[:-1] = run_starts[1:] - run_starts[:-1]
-    counts[-1] = total - run_starts[-1]
-    return counts
+    return np.diff(run_starts, append=total)
 
 
 class BatchCounters:
@@ -173,23 +207,135 @@ class BatchCounters:
         return counters, per_warp
 
 
+class LaneLedger:
+    """Deferred, exact per-warp accounting for the flat lane ops.
+
+    The ``*_lanes`` primitives of :class:`WarpBatch` run one instruction
+    for every warp present in a flat lane list.  Instead of touching
+    :class:`BatchCounters` per call they record here:
+
+    * per instruction mix, each warp's issue *rounds* and *active-lane
+      sum* (dense accumulators — every issue formula is linear in both);
+    * their per-lane byte offsets, tagged by (call, warp) group, for the
+      per-group sector dedup;
+    * their scalar atomic adds, whose data lands at the flush.
+
+    :meth:`flush` folds all of it into the counters — one composite-key
+    sort per access kind instead of one per call — and applies the adds.
+    It runs whenever :data:`LEDGER_KEY_BUDGET` keys are buffered, before
+    an access kind's group ids would pass :data:`MAX_KEY_GROUPS`, and
+    once when the caller is done, which must happen before anything reads
+    the added-to arrays.  Ledger warp ``i`` is launch row ``rows[i]``.
+    """
+
+    def __init__(self, counters: BatchCounters, rows, sector_bytes: int) -> None:
+        self.counters = counters
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.sector_bytes = int(sector_bytes)
+        #: (n_inst, ((field, per-issue count), ...)) -> [rounds, active]
+        self._mixes: dict[tuple, list[np.ndarray]] = {}
+        #: (field, base address, spans) -> [calls, group tags, byte offsets]
+        self._keys: dict[tuple, list] = {}
+        #: (base address, increment) -> [darr, increment, element indices]
+        self._adds: dict[tuple, list] = {}
+        self._n_keys = 0
+
+    def issue(self, w, n_inst: int, mix: tuple) -> np.ndarray:
+        """Record one *n_inst*-instruction issue by every warp in *w*
+        (one entry per active lane); *mix* lists ``(field, count)`` pairs
+        bumped per issue.  Returns the per-warp active-lane counts."""
+        cnt = np.bincount(w, minlength=self.rows.size)
+        acc = self._mixes.get((n_inst, mix))
+        if acc is None:
+            acc = [np.zeros(self.rows.size, dtype=np.int64) for _ in range(2)]
+            self._mixes[(n_inst, mix)] = acc
+        acc[0] += cnt > 0
+        acc[1] += cnt
+        return cnt
+
+    def sectors(self, field: str, base: int, w, offsets, spans: tuple) -> None:
+        """Record one call's accesses for *field*'s sector dedup: lane
+        ``i`` of warp ``w[i]`` touches *spans* (``(start, length)`` byte
+        ranges) at byte ``offsets[i]`` of the array at address *base*."""
+        n = self.rows.size
+        kind = (field, base, spans)
+        slot = self._keys.get(kind)
+        if slot is not None and (slot[0] + 1) * n > MAX_KEY_GROUPS:
+            self._flush_keys()
+            slot = None
+        if slot is None:
+            slot = self._keys[kind] = [0, [], []]
+        slot[1].append(w + slot[0] * n)
+        slot[2].append(offsets)
+        slot[0] += 1
+        self._n_keys += offsets.size
+        if self._n_keys >= LEDGER_KEY_BUDGET:
+            self._flush_keys()
+
+    def defer_add(self, darr, idx, value) -> None:
+        """Queue ``darr[idx] += value`` (per lane) for the next flush."""
+        slot = self._adds.setdefault((darr.base_addr, value), [darr, value, []])
+        slot[2].append(idx)
+        self._n_keys += idx.size
+
+    def flush(self) -> None:
+        """Fold everything recorded so far into the counters and memory."""
+        c, rows = self.counters, self.rows
+        for (n_inst, mix), (rounds, act) in self._mixes.items():
+            c.warp_inst[rows] += n_inst * rounds
+            c.thread_inst[rows] += n_inst * act
+            c.predicated_off[rows] += n_inst * (WARP_SIZE * rounds - act)
+            for name, per_issue in mix:
+                if per_issue:
+                    getattr(c, name)[rows] += per_issue * rounds
+        self._mixes.clear()
+        self._flush_keys()
+
+    def _flush_keys(self) -> None:
+        """Dedup the buffered sector keys and apply the buffered adds (the
+        issue accumulators are dense and wait for :meth:`flush`)."""
+        c, rows, n = self.counters, self.rows, self.rows.size
+        for (field, base, spans), (calls, tags, offsets) in self._keys.items():
+            per_group = _per_group_unique(
+                calls * n, np.concatenate(tags), np.concatenate(offsets),
+                spans, self.sector_bytes, base,
+            )
+            getattr(c, field)[rows] += per_group.reshape(calls, n).sum(axis=0)
+        self._keys.clear()
+        for darr, value, parts in self._adds.values():
+            # collapse duplicate addresses with one sort (no np.add.at)
+            idx = np.concatenate(parts)
+            idx.sort()
+            starts = np.flatnonzero(run_heads(idx))
+            flat = darr.data.reshape(-1)
+            flat[idx[starts]] += (_run_lengths(starts, idx.size) * value).astype(
+                flat.dtype
+            )
+        self._adds.clear()
+        self._n_keys = 0
+
+
 class WarpBatch:
     """Warp-axis generalisation of :class:`~repro.gpusim.warp.Warp`.
 
-    Each primitive acts on a *row set* (``rows``: global warp ids, always
-    the first axis of the per-call operands) instead of a single warp, with
-    ``(len(rows), 32)`` lane masks replacing the sequential active mask.
+    Each primitive acts on a *row set* (``rows``: global warp ids, one per
+    per-row operand) instead of a single warp, with per-row active-lane
+    counts replacing the sequential active mask; the ``*_lanes`` ops take
+    a flat lane list instead and account through a :class:`LaneLedger`.
     Accounting mirrors ``Warp`` method for method:
 
     ===========================  =======================================
     sequential                    batched equivalent
     ===========================  =======================================
-    ``int_op/fp_op/control_op``  same, with per-row active-lane counts
-    ``global_load/store``        ``load_gather`` / ``store_scatter``
+    ``int_op/control_op``        same, with per-row active-lane counts
+    ``global_load``              ``load_lanes`` / ``load_lane0``
     ``global_*_span``            ``load_span`` / ``store_span`` (per-row
                                  start/length arrays)
-    ``global_gather_span``       ``gather_span`` / ``gather_span_lane0``
-    ``atomic_cas/add``           ``atomic_cas`` / ``atomic_add``
+    ``global_gather_span``       ``gather_span_lanes`` /
+                                 ``gather_span_lane0``
+    ``atomic_cas/add``           ``atomic_cas_lanes`` /
+                                 ``atomic_add_lanes`` /
+                                 ``atomic_cas_lane0``
     ``single_lane(0)`` ops       ``*_lane0`` variants (walk mode)
     ===========================  =======================================
     """
@@ -201,6 +347,11 @@ class WarpBatch:
         self.sector_bytes = int(sector_bytes)
         #: explicit sanitizer, or whatever GpuContext.launch published
         self.sanitizer = sanitizer if sanitizer is not None else _ACTIVE_SANITIZER
+
+    def ledger(self, rows) -> LaneLedger:
+        """A :class:`LaneLedger` over launch rows *rows* for the ``*_lanes``
+        ops (flush it before reading what they added to)."""
+        return LaneLedger(self.counters, rows, self.sector_bytes)
 
     # -- strict validation (parity with Warp's always-on checks) -------------
 
@@ -254,10 +405,6 @@ class WarpBatch:
         self._issue(rows, n, active)
         self.counters.int_inst[rows] += n
 
-    def fp_op(self, n, rows, active) -> None:
-        self._issue(rows, n, active)
-        self.counters.fp_inst[rows] += n
-
     def control_op(self, n, rows, active) -> None:
         self._issue(rows, n, active)
         self.counters.control_inst[rows] += n
@@ -273,13 +420,6 @@ class WarpBatch:
         if self.sanitizer is not None:
             self.sanitizer.warp_sync_rows(rows)
 
-    def local_store_op(self, n, rows, active) -> None:
-        self._issue(rows, n, active)
-        self.counters.local_st_inst[rows] += n
-        self.counters.local_transactions[rows] += n * np.maximum(
-            1, np.asarray(active) // 4
-        )
-
     # -- transaction helpers ---------------------------------------------------
 
     def _aligned(self, darr) -> bool:
@@ -288,20 +428,6 @@ class WarpBatch:
         return (
             darr.base_addr % self.sector_bytes == 0
             and self.sector_bytes % darr.itemsize == 0
-        )
-
-    def _element_transactions(self, darr, idx_flat, groups, n_groups) -> np.ndarray:
-        """Per-group sector count for a set of element accesses (the
-        batched :func:`~repro.gpusim.memory.count_sectors`)."""
-        addrs = darr.base_addr + np.asarray(idx_flat, dtype=np.int64) * darr.itemsize
-        first = addrs // self.sector_bytes
-        if self._aligned(darr):
-            return _per_group_unique(n_groups, groups, first)
-        last = (addrs + darr.itemsize - 1) // self.sector_bytes
-        return _per_group_unique(
-            n_groups,
-            np.concatenate([groups, groups]),
-            np.concatenate([first, last]),
         )
 
     def _single_element_transactions(self, darr, idx):
@@ -313,28 +439,6 @@ class WarpBatch:
         first = addrs // self.sector_bytes
         last = (addrs + darr.itemsize - 1) // self.sector_bytes
         return 1 + (first != last)
-
-    def _sorted_transactions(self, darr, s_keys, n_groups) -> np.ndarray:
-        """Per-group sector count from already row-major-sorted
-        ``group * _KEY_BASE + element_index`` keys (one-sort atomics)."""
-        s_row = s_keys // _KEY_BASE
-        s_ai = s_keys - s_row * _KEY_BASE
-        addrs = darr.base_addr + s_ai * darr.itemsize
-        first = addrs // self.sector_bytes
-        if not self._aligned(darr):
-            last = (addrs + darr.itemsize - 1) // self.sector_bytes
-            return _per_group_unique(
-                n_groups,
-                np.concatenate([s_row, s_row]),
-                np.concatenate([first, last]),
-            )
-        skeys = s_row * _KEY_BASE + first  # monotone in s_keys: still sorted
-        head = np.empty(skeys.size, dtype=bool)
-        head[0] = True
-        np.not_equal(skeys[1:], skeys[:-1], out=head[1:])
-        return np.bincount(
-            s_row[head].astype(np.intp, copy=False), minlength=n_groups
-        ).astype(np.int64, copy=False)
 
     def _span_sectors(self, darr, start, length) -> np.ndarray:
         first = darr.base_addr + np.asarray(start, dtype=np.int64) * darr.itemsize
@@ -390,134 +494,192 @@ class WarpBatch:
                 continue  # memcheck suppressed the faulting span
             flat[s : s + l] = value
 
-    # -- lane-masked global memory ------------------------------------------------
+    # -- flat lane lists (deferred accounting through a LaneLedger) ---------------
+    #
+    # Operands are flat per-lane arrays: ``w`` (ledger warp index), ``lanes``
+    # and the per-lane addresses/values.  One call is one instruction of
+    # every warp present in ``w``.  A warp's lanes must appear in ascending
+    # lane order: atomics on a shared address serialise in that order.
 
-    def load_gather(
+    def _lane_sectors(self, ledger: LaneLedger, field: str, darr, idx, w) -> None:
+        """Record the sector keys of per-lane element accesses."""
+        ledger.sectors(
+            field, darr.base_addr, w, idx * darr.itemsize, ((0, darr.itemsize),)
+        )
+
+    def _lane_check(self, ledger, darr, idx, w, lanes, op, write, atomic=False):
+        """Strict-check and sanitize a lane access; returns the memcheck
+        keep-mask (None when every lane proceeds)."""
+        s = self.sanitizer
+        if s is None or not s.memcheck:
+            self._strict_check(darr, idx, op)
+        if s is None:
+            return None
+        return s.access(
+            darr, idx, ledger.rows[w], lanes, write=write, atomic=atomic, op=op
+        )
+
+    def load_lanes(
         self,
+        ledger: LaneLedger,
         darr: DeviceArray,
         idx,
-        mask,
-        rows,
-        active=None,
+        w,
+        lanes,
         fuse_int: int = 0,
         fuse_control: int = 0,
     ) -> np.ndarray:
-        """``global_load`` across rows: gather under per-row lane masks.
+        """``global_load`` over a flat lane list; returns one value per lane
+        (0 for lanes memcheck suppressed).
 
-        Masked-off lanes return 0 and generate no transactions.
         ``fuse_int`` / ``fuse_control`` fold that many surrounding integer /
-        control instructions (same rows/active) into this op's issue — the
+        control instructions (same lanes) into this op's issue — the
         counter sums are additive, so fusing is exactly the separate
         ``int_op``/``control_op`` calls plus the load.
         """
-        act = mask.sum(axis=1) if active is None else active
-        self._issue(rows, 1 + fuse_int + fuse_control, act)
-        if fuse_int:
-            self.counters.int_inst[rows] += fuse_int
-        if fuse_control:
-            self.counters.control_inst[rows] += fuse_control
-        self.counters.global_ld_inst[rows] += 1
-        flat = darr.data.reshape(-1)
-        out = np.zeros(mask.shape, dtype=darr.data.dtype)
-        rloc, cloc = np.nonzero(mask)
-        ai = idx[mask]
-        s = self.sanitizer
-        if s is None or not s.memcheck:
-            self._strict_check(darr, ai, "load_gather")
-        if s is not None:
-            keep = s.access(
-                darr, ai, np.asarray(rows)[rloc], cloc,
-                write=False, op="load_gather",
-            )
-            if keep is not None:
-                rloc, cloc, ai = rloc[keep], cloc[keep], ai[keep]
-        out[rloc, cloc] = flat[ai]
-        self.counters.global_ld_transactions[rows] += self._element_transactions(
-            darr, ai, rloc, len(rows)
+        ledger.issue(
+            w,
+            1 + fuse_int + fuse_control,
+            (("int_inst", fuse_int), ("control_inst", fuse_control),
+             ("global_ld_inst", 1)),
         )
+        flat = darr.data.reshape(-1)
+        keep = self._lane_check(ledger, darr, idx, w, lanes, "load_lanes", False)
+        if keep is None:
+            out = flat[idx]
+        else:
+            out = np.zeros(idx.size, dtype=darr.data.dtype)
+            idx, w = idx[keep], w[keep]
+            out[keep] = flat[idx]
+        self._lane_sectors(ledger, "global_ld_transactions", darr, idx, w)
         return out
 
-    def store_scatter(self, darr: DeviceArray, idx, values, mask, rows) -> None:
-        """``global_store`` across rows (row-major = ascending lane order)."""
-        self._issue(rows, 1, mask.sum(axis=1))
-        self.counters.global_st_inst[rows] += 1
-        flat = darr.data.reshape(-1)
-        rloc, cloc = np.nonzero(mask)
-        ai = idx[mask]
-        vals = values[mask]
-        s = self.sanitizer
-        if s is None or not s.memcheck:
-            self._strict_check(darr, ai, "store_scatter")
-        if s is not None:
-            keep = s.access(
-                darr, ai, np.asarray(rows)[rloc], cloc,
-                write=True, op="store_scatter",
-            )
-            if keep is not None:
-                rloc, ai, vals = rloc[keep], ai[keep], vals[keep]
-        flat[ai] = vals
-        self.counters.global_st_transactions[rows] += self._element_transactions(
-            darr, ai, rloc, len(rows)
-        )
-
-    def gather_span(
+    def gather_span_lanes(
         self,
+        ledger: LaneLedger,
         darr: DeviceArray,
         starts,
-        mask,
         nbytes: int,
-        rows,
+        w,
+        lanes,
         word_bytes: int = 8,
-        active=None,
         fuse_int: int = 0,
     ) -> None:
-        """``global_gather_span`` across rows: per-lane key streams.
+        """``global_gather_span`` over a flat lane list: per-lane key streams.
 
-        *starts* are byte offsets, ``(len(rows), 32)``; per word the
-        distinct {first, last} sectors of each row's active lanes are
-        counted separately (no dedup across words), matching the
-        sequential per-column accounting.  ``fuse_int`` as in
-        :meth:`load_gather`.
+        *starts* are byte offsets; per word the distinct {first, last}
+        sectors of each warp's lanes are counted separately (no dedup
+        across words), matching the sequential per-column accounting.
+        ``fuse_int`` as in :meth:`load_lanes`.
         """
         nbytes = int(nbytes)
         if nbytes <= 0:
             return
         n_words = (nbytes + word_bytes - 1) // word_bytes
-        act = mask.sum(axis=1) if active is None else active
-        self._bulk(rows, n_words + fuse_int, (n_words + fuse_int) * act)
-        if fuse_int:
-            self.counters.int_inst[rows] += fuse_int
-        self.counters.global_ld_inst[rows] += n_words
-        rloc, cloc = np.nonzero(mask)
-        if rloc.size == 0:
-            return
+        ledger.issue(
+            w, n_words + fuse_int,
+            (("int_inst", fuse_int), ("global_ld_inst", n_words)),
+        )
         if self.sanitizer is not None:
             self.sanitizer.byte_gather(
-                darr, starts[mask].astype(np.int64), nbytes,
-                np.asarray(rows)[rloc], cloc, op="gather_span",
+                darr, starts, nbytes, ledger.rows[w], lanes, op="gather_span_lanes"
             )
-        addrs = darr.base_addr + starts[mask].astype(np.int64)
-        w = cached_arange(n_words)
-        word_addrs = addrs[:, None] + word_bytes * w[None, :]
-        word_len = np.minimum(word_bytes, nbytes - word_bytes * w)
-        first = word_addrs // self.sector_bytes
-        last = (word_addrs + word_len[None, :] - 1) // self.sector_bytes
-        # one group per (row, word) column, then fold columns back to rows;
-        # only sector-straddling words contribute a distinct second key
-        col = rloc[:, None] * n_words + w[None, :]
-        fkeys = col * _KEY_BASE + first
-        cross = (last != first).ravel()
-        lkeys = (col * _KEY_BASE + last).ravel()[cross]
-        keys = np.concatenate([fkeys.ravel(), lkeys])
-        keys.sort()
-        head = np.empty(keys.size, dtype=bool)
-        head[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        trans = np.bincount(
-            ((keys[head] // _KEY_BASE) // n_words).astype(np.intp),
-            minlength=len(rows),
+        spans = tuple(
+            (j, min(word_bytes, nbytes - j)) for j in range(0, nbytes, word_bytes)
         )
-        self.counters.global_ld_transactions[rows] += trans
+        ledger.sectors("global_ld_transactions", darr.base_addr, w, starts, spans)
+
+    def atomic_cas_lanes(
+        self,
+        ledger: LaneLedger,
+        darr: DeviceArray,
+        idx,
+        compare,
+        value,
+        w,
+        lanes,
+        fuse_shfl_sync: bool = False,
+    ) -> np.ndarray:
+        """``atomicCAS`` over a flat lane list; returns the old value per
+        lane (0 for lanes memcheck suppressed).
+
+        Warps own disjoint address regions, so duplicate addresses only
+        occur within a warp — the thread-collision case.  One stable sort
+        by address resolves every duplicate run: its first lane (ascending
+        lane order) sees the slot as it was and the rest see the result of
+        that first CAS, which must change the slot (``value != compare``,
+        as in a claim of an empty slot).  Each duplicate lane is one
+        hardware replay (``atomic_conflicts``).  ``fuse_shfl_sync`` folds
+        the surrounding match_any shuffle + barrier (same lanes) into this
+        op's issue.
+        """
+        mix = (("atomic_inst", 1),)
+        if fuse_shfl_sync:
+            mix += (("shuffle_inst", 1), ("sync_inst", 1))
+        cnt = ledger.issue(w, 3 if fuse_shfl_sync else 1, mix)
+        keep = self._lane_check(
+            ledger, darr, idx, w, lanes, "atomic_cas_lanes", True, atomic=True
+        )
+        value = np.broadcast_to(value, idx.shape)
+        if keep is None:
+            old = self._cas(darr, idx, compare, value, w, ledger)
+        else:  # memcheck suppressed lanes read back 0
+            old = np.zeros(idx.size, dtype=darr.data.dtype)
+            old[keep] = self._cas(darr, idx[keep], compare, value[keep], w[keep], ledger)
+        if fuse_shfl_sync and self.sanitizer is not None:
+            self.sanitizer.warp_sync_rows(ledger.rows[cnt > 0])
+        return old
+
+    def _cas(self, darr, idx, compare, value, w, ledger) -> np.ndarray:
+        """The data side of :meth:`atomic_cas_lanes`: old value per lane."""
+        if idx.size == 0:
+            return np.zeros(0, dtype=darr.data.dtype)
+        self._lane_sectors(ledger, "atomic_transactions", darr, idx, w)
+        flat = darr.data.reshape(-1)
+        order = np.argsort(idx, kind="stable")
+        head = run_heads(idx[order])
+        if head.all():  # no thread collision: every lane sees the slot
+            old = flat[idx]
+            hit = old == compare
+            flat[idx[hit]] = value[hit]
+            return old
+        first = order[head]  # per address: its lowest lane
+        cur = flat[idx[first]]
+        hit = cur == compare
+        flat[idx[first[hit]]] = value[first[hit]]
+        # every later lane of a run sees the first lane's result
+        old = np.empty(idx.size, dtype=darr.data.dtype)
+        old[order] = np.repeat(
+            np.where(hit, value[first], cur),
+            _run_lengths(np.flatnonzero(head), idx.size),
+        )
+        old[first] = cur
+        np.add.at(self.counters.atomic_conflicts, ledger.rows[w[order[~head]]], 1)
+        return old
+
+    def atomic_add_lanes(
+        self, ledger: LaneLedger, darr: DeviceArray, idx, value, w, lanes
+    ) -> None:
+        """Integer ``atomicAdd`` of one scalar *value* per lane.
+
+        No old values are materialised (the extension kernels never read
+        them), and the data lands at the ledger's next flush: *darr* must
+        not be read before :meth:`LaneLedger.flush`.
+        """
+        if np.ndim(value) != 0:
+            raise TypeError(
+                "atomic_add_lanes adds one scalar increment to every lane, "
+                f"not a per-lane array of shape {np.shape(value)}"
+            )
+        ledger.issue(w, 1, (("atomic_inst", 1),))
+        keep = self._lane_check(
+            ledger, darr, idx, w, lanes, "atomic_add_lanes", True, atomic=True
+        )
+        if keep is not None:
+            idx, w = idx[keep], w[keep]
+        if idx.size:
+            self._lane_sectors(ledger, "atomic_transactions", darr, idx, w)
+            ledger.defer_add(darr, idx, value)
 
     # -- single-lane (walk-mode) variants -----------------------------------------
     #
@@ -638,132 +800,3 @@ class WarpBatch:
             darr, idx
         )
         return old
-
-    # -- lane-masked atomics ---------------------------------------------------------
-
-    def _sanitize_rmw(self, darr: DeviceArray, idx, mask, rows, op: str):
-        """Sanitizer hook for a masked atomic RMW: strict-check, record,
-        and return *mask* with memcheck-faulting lanes cleared."""
-        s = self.sanitizer
-        if s is None or not s.memcheck:
-            self._strict_check(darr, idx[mask], op)
-        if s is None:
-            return mask
-        rloc, cloc = np.nonzero(mask)
-        if rloc.size == 0:
-            return mask
-        keep = s.access(
-            darr, idx[mask], np.asarray(rows)[rloc], cloc,
-            write=True, atomic=True, op=op,
-        )
-        if keep is None or keep.all():
-            return mask
-        mask = mask.copy()
-        mask[rloc[~keep], cloc[~keep]] = False
-        return mask
-
-    def atomic_cas(
-        self,
-        darr: DeviceArray,
-        idx,
-        compare,
-        value,
-        mask,
-        rows,
-        active=None,
-        fuse_shfl_sync: bool = False,
-    ) -> np.ndarray:
-        """``atomicCAS`` across rows, ascending-lane serialisation per warp.
-
-        Returns the old value per lane (0 for masked-off lanes).  Rows own
-        disjoint address regions, so duplicate addresses only occur within
-        a row — the same thread-collision case the sequential interpreter
-        resolves with a per-group serial chain.  ``fuse_shfl_sync`` folds
-        the surrounding match_any shuffle + barrier (same rows/active)
-        into this op's issue.
-        """
-        act = mask.sum(axis=1) if active is None else active
-        self._issue(rows, 3 if fuse_shfl_sync else 1, act)
-        self.counters.atomic_inst[rows] += 1
-        if fuse_shfl_sync:
-            self.counters.shuffle_inst[rows] += 1
-            self.counters.sync_inst[rows] += 1
-        flat = darr.data.reshape(-1)
-        narrowed = self._sanitize_rmw(darr, idx, mask, rows, "atomic_cas")
-        if narrowed is not mask:
-            mask = narrowed
-            act = mask.sum(axis=1)  # memcheck suppressed faulting lanes
-        rloc, _ = np.nonzero(mask)  # row-major: ascending lane within a row
-        ai = idx[mask].astype(np.int64)
-        av = value[mask]
-        old_flat = np.zeros(ai.size, dtype=darr.data.dtype)
-        if ai.size:
-            # One row-major sort serves both the duplicate grouping (rows
-            # own disjoint regions, so per-(row, address) == per-address)
-            # and the per-row sector dedup below.
-            keys = rloc * _KEY_BASE + ai
-            order = np.argsort(keys, kind="stable")
-            s_keys = keys[order]
-            head = np.empty(s_keys.size, dtype=bool)
-            head[0] = True
-            np.not_equal(s_keys[1:], s_keys[:-1], out=head[1:])
-            run_starts = np.nonzero(head)[0]
-            counts = _run_lengths(run_starts, s_keys.size)
-            dup = np.empty(ai.size, dtype=bool)
-            dup[order] = np.repeat(counts > 1, counts)
-            solo = ~dup
-            if solo.any():
-                cur = flat[ai[solo]]
-                old_flat[solo] = cur
-                hit = cur == compare
-                flat[ai[solo][hit]] = av[solo][hit]
-            for pos in np.nonzero(dup)[0]:  # contended: serial chain, lane order
-                cur = flat[ai[pos]]
-                old_flat[pos] = cur
-                if cur == compare:
-                    flat[ai[pos]] = av[pos]
-            # Address conflicts replay the atomic on hardware: active - unique,
-            # attributed to each unique address's owning row.  The stable sort
-            # makes order[run_starts] the first flat occurrence per address.
-            n_unique = np.bincount(rloc[order[run_starts]], minlength=len(rows))
-            self.counters.atomic_conflicts[rows] += act - n_unique
-            self.counters.atomic_transactions[rows] += self._sorted_transactions(
-                darr, s_keys, len(rows)
-            )
-        if fuse_shfl_sync and self.sanitizer is not None:
-            self.sanitizer.warp_sync_rows(rows)
-        out = np.zeros(mask.shape, dtype=darr.data.dtype)
-        out[mask] = old_flat
-        return out
-
-    def atomic_add(self, darr: DeviceArray, idx, value, mask, rows) -> None:
-        """Integer ``atomicAdd`` across rows (old values are not needed by
-        the extension kernels, so none are materialised)."""
-        self._issue(rows, 1, mask.sum(axis=1))
-        self.counters.atomic_inst[rows] += 1
-        flat = darr.data.reshape(-1)
-        mask = self._sanitize_rmw(darr, idx, mask, rows, "atomic_add")
-        rloc, _ = np.nonzero(mask)
-        ai = idx[mask]
-        if np.ndim(value) == 0 and ai.size:
-            # np.add.at has heavy dispatch overhead; collapse duplicate
-            # addresses with one row-major sort (rows own disjoint regions)
-            # that also feeds the sector dedup.
-            keys = rloc * _KEY_BASE + ai.astype(np.int64)
-            keys.sort()
-            head = np.empty(keys.size, dtype=bool)
-            head[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=head[1:])
-            run_starts = np.nonzero(head)[0]
-            counts = _run_lengths(run_starts, keys.size)
-            hk = keys[run_starts]
-            u = hk - (hk // _KEY_BASE) * _KEY_BASE
-            flat[u] = flat[u] + (counts * value).astype(flat.dtype)
-            self.counters.atomic_transactions[rows] += self._sorted_transactions(
-                darr, keys, len(rows)
-            )
-        else:
-            np.add.at(flat, ai, value)
-            self.counters.atomic_transactions[rows] += self._element_transactions(
-                darr, ai, rloc, len(rows)
-            )

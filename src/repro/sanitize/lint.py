@@ -67,21 +67,18 @@ _SEQ_COUNTERS = {
 #: WarpBatch method -> counter classes (batched SoA engine).
 _BATCHED_COUNTERS = {
     "int_op": frozenset({"int"}),
-    "fp_op": frozenset({"fp"}),
     "control_op": frozenset({"control"}),
     "shuffle_op": frozenset({"shuffle"}),
     "sync_op": frozenset({"sync"}),
-    "local_store_op": frozenset({"local_st"}),
     "load_span": frozenset({"global_ld"}),
-    "load_gather": frozenset({"global_ld"}),
-    "gather_span": frozenset({"global_ld"}),
+    "load_lanes": frozenset({"global_ld"}),
+    "gather_span_lanes": frozenset({"global_ld"}),
     "load_lane0": frozenset({"global_ld"}),
     "gather_span_lane0": frozenset({"global_ld"}),
     "store_span": frozenset({"global_st"}),
-    "store_scatter": frozenset({"global_st"}),
     "store_lane0": frozenset({"global_st"}),
-    "atomic_cas": frozenset({"atomic"}),
-    "atomic_add": frozenset({"atomic"}),
+    "atomic_cas_lanes": frozenset({"atomic"}),
+    "atomic_add_lanes": frozenset({"atomic"}),
     "atomic_cas_lane0": frozenset({"atomic"}),
 }
 

@@ -1,7 +1,7 @@
 """Driver-level contract of the batched SoA warp engine.
 
-``GpuLocalAssembler(engine="batched")`` advances every warp of a launch
-in lockstep over ``(n_warps, 32)`` NumPy state, but the result must be
+``GpuLocalAssembler(engine="batched")`` runs every warp of a launch at
+once on structure-of-arrays NumPy state, but the result must be
 *indistinguishable* from the sequential interpreter: extensions, merged
 counters, per-launch ``per_warp_inst`` tuples and modelled timing are all
 bit-identical, and both match the CPU reference.  This pins the tentpole
@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import extension_kernel_batched as batched_kernel
 from repro.core.config import GpuDriverConfig, LocalAssemblyConfig
 from repro.core.cpu_local_assembly import run_local_assembly_cpu
 from repro.core.driver import GpuLocalAssembler
@@ -59,6 +60,52 @@ def workload():
 
 
 @pytest.fixture(scope="module")
+def stress_workload():
+    """Inputs that push the lane queue down its rarer paths: step counts
+    from 1 to over 200 per task, reads with ``N`` (invalid lanes and
+    whole steps without a valid lane), k-mers repeated inside one
+    32-lane step (CAS duplicate runs), near-full tables with long probe
+    chains, and a fork that shifts k up through several mer sizes."""
+    rng = np.random.default_rng(99)
+    q = lambda n: np.full(n, 40, dtype=np.uint8)  # noqa: E731
+    tasks = []
+    # >200 steps: 124 overlapping 60 bp reads, two 32-lane steps each
+    tasks.append(_tiling_task(random_dna(800, rng), 200, cid=0, read_len=60, stride=6))
+    # one step: a single 40 bp read
+    one = random_dna(40, rng)
+    tasks.append(ExtensionTask(cid=1, side=RIGHT, contig=encode(one[:30]),
+                               reads=(encode(one),), quals=(q(40),)))
+    # long probe chains: distinct random k-mers fill three quarters of
+    # the table (chains run past 100 slots once k shifts down to 13);
+    # one read has an N in every window, one a single N
+    reads = [random_dna(120, rng) for _ in range(8)]
+    reads.append("".join(b if i % 15 else "N" for i, b in enumerate(random_dna(90, rng))))
+    reads.append(random_dna(40, rng) + "N" + random_dna(59, rng))
+    tasks.append(ExtensionTask(
+        cid=2, side=LEFT, contig=encode(random_dna(60, rng)),
+        reads=tuple(encode(r) for r in reads),
+        quals=tuple(q(len(r)) for r in reads),
+    ))
+    # tandem repeats: one k-mer at many lanes of the same step
+    reads = ["ACGT" * 20, random_dna(10, rng) + "AC" * 30, "T" * 70]
+    tasks.append(ExtensionTask(
+        cid=3, side=RIGHT, contig=encode(random_dna(50, rng) + "ACGT" * 6),
+        reads=tuple(encode(r) for r in reads),
+        quals=tuple(q(len(r)) for r in reads),
+    ))
+    # a real fork at the contig end: k shifts up until it runs out
+    shared = random_dna(120, rng)
+    reads, quals = [], []
+    for hap in (shared + random_dna(100, rng), shared + random_dna(100, rng)):
+        for i in range(30, len(hap) - 70 + 1, 8):
+            reads.append(encode(hap[i : i + 70]))
+            quals.append(q(70))
+    tasks.append(ExtensionTask(cid=4, side=RIGHT, contig=encode(shared),
+                               reads=tuple(reads), quals=tuple(quals)))
+    return TaskSet(tasks)
+
+
+@pytest.fixture(scope="module")
 def config():
     return LocalAssemblyConfig(k_init=21, max_walk_len=150)
 
@@ -79,10 +126,25 @@ def _assert_identical_reports(a, b):
 
 class TestBatchedDeterminism:
     @pytest.mark.bench_smoke
-    def test_bit_identical_to_sequential(self, workload, config):
-        seq = GpuLocalAssembler(config, engine="sequential").run(workload)
-        bat = GpuLocalAssembler(config, engine="batched").run(workload)
+    @pytest.mark.parametrize("inputs", ["workload", "stress_workload"])
+    def test_bit_identical_to_sequential(self, inputs, request, config, monkeypatch):
+        tasks = request.getfixturevalue(inputs)
+        seq = GpuLocalAssembler(config, engine="sequential").run(tasks)
+        built_k = []
+        build = batched_kernel._build_group
+
+        def spy(wb, batch, rows, tasks_g, k, *rest):
+            built_k.append(k)
+            return build(wb, batch, rows, tasks_g, k, *rest)
+
+        monkeypatch.setattr(batched_kernel, "_build_group", spy)
+        bat = GpuLocalAssembler(config, engine="batched").run(tasks)
         _assert_identical_reports(seq, bat)
+        if inputs == "stress_workload":  # the input reaches every path
+            assert any(
+                la.counters.labels.get("atomic_conflicts", 0) for la in bat.launches
+            )
+            assert len(set(built_k)) > 1
 
     def test_batched_matches_cpu_reference(self, workload, config):
         cpu, _ = run_local_assembly_cpu(workload, config)

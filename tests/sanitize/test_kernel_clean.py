@@ -59,6 +59,18 @@ def test_v2_sanitizer_clean_on_engine(workload, cfg, baseline, engine):
     assert report.extensions == baseline.extensions
 
 
+def test_batched_checks_every_access_once(workload, cfg):
+    """The batched lane queue hands the sanitizer every access of the
+    sequential program exactly once: same per-access check count."""
+    counts = {
+        engine: GpuLocalAssembler(config=cfg, engine=engine, sanitize="full")
+        .run(workload)
+        .sanitizer.n_checked
+        for engine in ("sequential", "batched")
+    }
+    assert counts["batched"] == counts["sequential"]
+
+
 def test_v1_sanitizer_clean(workload, cfg):
     asm = GpuLocalAssembler(config=cfg, kernel_version="v1", sanitize="full")
     report = asm.run(workload)

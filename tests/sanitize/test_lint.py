@@ -60,7 +60,9 @@ def good_kernel(warp, warp_id, buf, idx):
 
 
 def good_kernel_batched(wb, rows, buf, idx):
-    _ = wb.atomic_add(buf, idx, 1, 32, rows)
+    ledger = wb.ledger(rows)
+    _ = wb.atomic_add_lanes(ledger, buf, idx, 1, rows, idx % 32)
+    ledger.flush()
     wb.int_op(1, rows, 32)
 
 

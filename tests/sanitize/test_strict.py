@@ -65,11 +65,12 @@ class TestStrictIndexValidation:
     def test_batched_oob_raises(self, alloc):
         darr = alloc.to_device(np.arange(16, dtype=np.int64))
         wb = WarpBatch(BatchCounters(2))
-        idx = np.zeros((2, 32), dtype=np.int64)
-        idx[1, 5] = 999
-        mask = np.ones((2, 32), dtype=bool)
+        w = np.repeat(np.arange(2, dtype=np.int64), 32)
+        lanes = np.tile(np.arange(32, dtype=np.int64), 2)
+        idx = np.zeros(64, dtype=np.int64)
+        idx[32 + 5] = 999  # warp 1, lane 5
         with pytest.raises(IndexError, match="999"):
-            wb.load_gather(darr, idx, mask, np.array([0, 1]))
+            wb.load_lanes(wb.ledger(np.arange(2)), darr, idx, w, lanes)
 
 
 class TestFreedAccess:
